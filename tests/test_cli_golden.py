@@ -1,0 +1,104 @@
+"""Golden CLI matrix: the exit code and the sha256 of stdout for fixed commands.
+
+A refactor of the CLI or of the row and record code must leave every entry
+of tests/data/cli_golden.json unchanged. Regenerate the data, only for an
+intended output change, with:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+czcheck is covered in text only: its json-lines and csv output print the
+float bounds at full precision, and those digits come from the platform's
+libm. Usage errors record the exit code only, because argparse's wording
+varies between Python versions.
+"""
+
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from rootparity import cli
+
+DATA = Path(__file__).parent / "data" / "cli_golden.json"
+FORMATS = ("text", "json-lines", "csv")
+ENV_OVERRIDES = ("ROOTPARITY_FACTOR_K_MAX", "ROOTPARITY_WORKERS")
+
+EVERY_FORMAT = [
+    "generate --p 13",
+    "generate --p 103",
+    "generate --p 103 --variant t",
+    "analyze --p 103",
+    "analyze --p 751 --factor-k-max 1000",
+    "analyze --p-range 11..200",
+    "analyze --p-range 24..28",
+    *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
+    "tables --which 1",
+    "tables --which 2",
+    "scan --p-min 11 --p-max 400",
+    "scan --p-min 11 --p-max 400 --t-prime",
+    "scan --p-min 11 --p-max 400 --no-flags",
+    "scan --p-min 11 --p-max 400 --two-primitive-root",
+    "scan --p-min 11 --p-max 400 --t-prime --no-flags --factor-k-max 3",
+    "scan --p-min 24 --p-max 28",
+]
+TEXT_ONLY = [
+    "czcheck --p 13",
+    "czcheck --p 103 --s-max 3",
+    "czcheck --p 379 --s-max 2",
+]
+USAGE_ERRORS = [
+    "",
+    "analyze --p-range 100..11",
+    "generate --p 9",
+    "patterns --p 13",
+    "tables --which 3",
+    "scan --p-min 5 --p-max 100",
+]
+
+
+def matrix() -> list[str]:
+    return [f"{cmd} --format {fmt}" for cmd in EVERY_FORMAT for fmt in FORMATS] + TEXT_ONLY
+
+
+def run(command: str) -> tuple[int, str]:
+    out = io.StringIO()
+    code = cli.run(command.split(), out=out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def record() -> dict:
+    golden = {}
+    for command in matrix():
+        code, digest = run(command)
+        golden[command] = {"exit": code, "sha256": digest}
+    for command in USAGE_ERRORS:
+        golden[command] = {"exit": run(command)[0], "sha256": None}
+    return golden
+
+
+GOLDEN = json.loads(DATA.read_text())
+
+
+@pytest.fixture(autouse=True)
+def _default_environment(monkeypatch):
+    for name in ENV_OVERRIDES:
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(command):
+    code, digest = run(command)
+    expected = GOLDEN[command]
+    assert code == expected["exit"]
+    if expected["sha256"] is not None:
+        assert digest == expected["sha256"]
+
+
+if __name__ == "__main__":
+    for name in ENV_OVERRIDES:
+        os.environ.pop(name, None)
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(record(), indent=1) + "\n")
