@@ -1,9 +1,9 @@
 """Command-line surface: generate, analyze, patterns, czcheck, tables, scan.
 
-Output formats: human text (no stability guarantee), json-lines (one
-object per row; integers above 2^53 serialized as decimal strings) and
-csv (fixed header, ratios as 6-place decimals plus an exact num/den
-column).
+Output formats, for every command: human text (no stability guarantee),
+json-lines (one object per row; integers above 2^53 serialized as
+decimal strings) and csv (fixed header, ratios as 6-place decimals plus
+an exact num/den column).
 
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
 inconsistency.
@@ -11,7 +11,6 @@ inconsistency.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -42,11 +41,6 @@ def _json_int(n):
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _bits_str(seq: sequence.BitSequence) -> str:
-    # index-ascending; bit n carries weight 2^n in S(2)
-    return "".join(map(str, seq.bits))
 
 
 def row_to_json(row: search.SearchRow) -> dict:
@@ -83,67 +77,72 @@ ROW_CSV_HEADER = [
     "mersenne", "flags", "q_source",
 ]
 
-
-def _row_csv(row: search.SearchRow) -> list:
-    return [
-        row.T,
-        row.p,
-        "" if row.ord_T_2 is None else row.ord_T_2,
-        "" if row.q is None else row.q,
-        "" if row.log2q is None else row.log2q,
-        f"{float(row.ratio):.6f}",
-        _frac_str(row.ratio),
-        int(row.mersenne),
-        "|".join(sorted(row.flags)),
-        row.q_source or "",
-    ]
+ANALYZE_CSV_HEADER = [
+    "p", "T", "eta", "eta_frac", "regime", "n0", "n1",
+    "predicted_frac1", "predicted_frac0", "L", "L_lower", "s1", "epsilon",
+    "S2", "C", "C_lower",
+]
 
 
-def _emit_rows(rows, fmt, out):
-    if fmt == "json-lines":
-        for row in rows:
-            print(json.dumps(row_to_json(row)), file=out)
-    elif fmt == "csv":
+def _emit(out, fmt, docs, text, csv_header, csv_rows=None):
+    """Write flat records as json-lines, csv or text (one text(doc) each).
+
+    The csv header is written before the first record, so an empty input
+    still prints it. A record is one csv row of its values unless
+    csv_rows(doc) gives the rows; csv writes None as an empty field.
+    """
+    if fmt == "csv":
         writer = csv.writer(out)
-        writer.writerow(ROW_CSV_HEADER)
-        for row in rows:
-            writer.writerow(_row_csv(row))
-    else:
-        for row in rows:
-            flags = ",".join(sorted(row.flags)) or "-"
-            q = "-" if row.mersenne else row.q if row.q is not None else "?"
-            log2q = "-" if row.mersenne else row.log2q if row.log2q is not None else "?"
-            print(
-                f"T={row.T} p={row.p} ord={row.ord_T_2} q={q} "
-                f"log2q={log2q} ratio={_frac_str(row.ratio)} "
-                f"(~{float(row.ratio):.3f}) mersenne={row.mersenne} "
-                f"flags={flags}",
-                file=out,
-            )
+        writer.writerow(csv_header)
+    for doc in docs:
+        if fmt == "json-lines":
+            print(json.dumps(doc), file=out)
+        elif fmt == "csv":
+            writer.writerows(csv_rows(doc) if csv_rows else [doc.values()])
+        else:
+            print(text(doc), file=out)
+
+
+def _kv_text(doc: dict) -> str:
+    return "\n".join(f"{k} = {v}" for k, v in doc.items())
+
+
+def _row_text(doc: dict) -> str:
+    q = "-" if doc["mersenne"] else "?" if doc["q"] is None else doc["q"]
+    log2q = "-" if doc["mersenne"] else "?" if doc["log2q"] is None else doc["log2q"]
+    return (
+        f"T={doc['T']} p={doc['p']} ord={doc['ord']} q={q} "
+        f"log2q={log2q} ratio={doc['ratio']} "
+        f"(~{float(Fraction(doc['ratio'])):.3f}) mersenne={doc['mersenne']} "
+        f"flags={','.join(doc['flags']) or '-'}"
+    )
+
+
+def _row_csv(doc: dict) -> list:
+    return [[
+        doc["T"], doc["p"], doc["ord"], doc["q"], doc["log2q"],
+        f"{float(Fraction(doc['ratio'])):.6f}", doc["ratio"],
+        int(doc["mersenne"]), "|".join(doc["flags"]), doc["q_source"],
+    ]]
+
+
+def _emit_rows(out, fmt, rows):
+    _emit(out, fmt, map(row_to_json, rows), _row_text, ROW_CSV_HEADER, _row_csv)
 
 
 def _cmd_generate(args, out):
     ctx = sequence.build_context(args.p)
     build = sequence.build_t_sequence if args.variant == "t" else sequence.build_s_sequence
-    seq = build(ctx)
-    regime = bounds.classify_eta(ctx.eta).regime
     doc = {
         "p": ctx.p,
         "T": ctx.T,
         "eta": _frac_str(ctx.eta),
-        "regime": regime,
+        "regime": bounds.classify_eta(ctx.eta).regime,
         "variant": args.variant,
-        "bits": _bits_str(seq),
+        # index-ascending; bit n carries weight 2^n in S(2)
+        "bits": "".join(map(str, build(ctx).bits)),
     }
-    if args.format == "json-lines":
-        print(json.dumps(doc), file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(doc.keys())
-        writer.writerow(doc.values())
-    else:
-        for k, v in doc.items():
-            print(f"{k} = {v}", file=out)
+    _emit(out, args.format, [doc], _kv_text, list(doc))
     return EXIT_OK
 
 
@@ -171,11 +170,10 @@ def _analyze_doc(p: int, factor_k_max: int) -> dict:
     }
 
 
-ANALYZE_CSV_HEADER = [
-    "p", "T", "eta", "eta_frac", "regime", "n0", "n1",
-    "predicted_frac1", "predicted_frac0", "L", "L_lower", "s1", "epsilon",
-    "S2", "C", "C_lower",
-]
+def _analyze_csv(doc: dict) -> list:
+    # the eta column carries a 6-place decimal ahead of the exact fraction
+    p, T, *rest = doc.values()
+    return [[p, T, f"{float(Fraction(doc['eta'])):.6f}", *rest]]
 
 
 def _cmd_analyze(args, out):
@@ -185,87 +183,79 @@ def _cmd_analyze(args, out):
         lo, hi = args.p_range
         primes = [p for p in range(max(lo, 11), hi + 1) if is_prime(p)]
     docs = (_analyze_doc(p, args.factor_k_max) for p in primes)
-    if args.format == "json-lines":
-        for doc in docs:
-            print(json.dumps(doc), file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(ANALYZE_CSV_HEADER)
-        for doc in docs:
-            eta = Fraction(doc["eta"])
-            writer.writerow([
-                doc["p"], doc["T"], f"{float(eta):.6f}", doc["eta"],
-                doc["regime"], doc["n0"], doc["n1"],
-                doc["predicted_frac1"], doc["predicted_frac0"],
-                doc["L"], doc["L_lower"], doc["s1"], doc["epsilon"],
-                doc["S2"], doc["C"],
-                "" if doc["C_lower"] is None else doc["C_lower"],
-            ])
-    else:
-        for doc in docs:
-            for k, v in doc.items():
-                print(f"{k} = {v}", file=out)
-            print(file=out)
+    _emit(out, args.format, docs, lambda doc: _kv_text(doc) + "\n",
+          ANALYZE_CSV_HEADER, _analyze_csv)
     return EXIT_OK
+
+
+def _pattern_rows(doc: dict) -> list:
+    rows = []
+    for pat, count in sorted(doc["counts"].items()):
+        w = str(pat.count("1"))
+        rows.append([pat, w, count, doc["predicted_per_pattern"][w]])
+    return rows
+
+
+def _patterns_text(doc: dict) -> str:
+    lines = [f"p = {doc['p']}, T = {doc['T']}, ell = {doc['ell']}, "
+             f"windows = {doc['windows']}"]
+    for pat, _, count, predicted in _pattern_rows(doc):
+        lines.append(f"  {pat}  count={count}  "
+                     f"predicted~{float(Fraction(predicted)):.4f}")
+    return "\n".join(lines)
 
 
 def _cmd_patterns(args, out):
     ctx = sequence.build_context(args.p)
     seq = sequence.build_s_sequence(ctx)
     rep = sequence.pattern_stats(seq, ctx, args.ell)
-    windows = seq.period - args.ell + 1
     doc = {
         "p": ctx.p,
         "T": ctx.T,
         "ell": rep.ell,
-        "windows": windows,
+        "windows": seq.period - args.ell + 1,
         "counts": rep.counts,
         "weight_counts": {str(w): c for w, c in rep.weight_counts.items()},
         "predicted_per_pattern": {
             str(w): _frac_str(f) for w, f in rep.predicted.items()
         },
     }
-    if args.format == "json-lines":
-        print(json.dumps(doc), file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["pattern", "weight", "count", "predicted_per_pattern"])
-        for pat in sorted(rep.counts):
-            w = pat.count("1")
-            writer.writerow([pat, w, rep.counts[pat], _frac_str(rep.predicted[w])])
-    else:
-        print(f"p = {ctx.p}, T = {ctx.T}, ell = {args.ell}, windows = {windows}",
-              file=out)
-        for pat in sorted(rep.counts):
-            w = pat.count("1")
-            print(f"  {pat}  count={rep.counts[pat]}  "
-                  f"predicted~{float(rep.predicted[w]):.4f}", file=out)
+    header = ["pattern", "weight", "count", "predicted_per_pattern"]
+    _emit(out, args.format, [doc], _patterns_text, header, _pattern_rows)
     return EXIT_OK
 
 
+def _signs(epsilons: list[int]) -> str:
+    return "".join("+" if e == 1 else "-" for e in epsilons)
+
+
+def _czcheck_text(doc: dict) -> str:
+    return (f"p={doc['p']} eps={_signs(doc['epsilons'])} M={doc['m']} "
+            f"main={doc['main_term']:.2f} bound={doc['bound']:.2f} "
+            f"holds={doc['holds']}")
+
+
+def _czcheck_csv(doc: dict) -> list:
+    p, epsilons, *rest = doc.values()
+    return [[p, _signs(epsilons), *rest]]
+
+
 def _cmd_czcheck(args, out):
-    violations = 0
+    docs = []
     for s in range(1, args.s_max + 1):
         for eps in product((1, -1), repeat=s):
             chk = sequence.cz_bound_check(args.p, list(eps))
-            if not chk.holds:
-                violations += 1
-            doc = {
+            docs.append({
                 "p": args.p,
                 "epsilons": list(eps),
                 "m": chk.m,
                 "main_term": chk.main_term,
                 "bound": chk.bound,
                 "holds": chk.holds,
-            }
-            if args.format == "json-lines":
-                print(json.dumps(doc), file=out)
-            else:
-                sign = "".join("+" if e == 1 else "-" for e in eps)
-                print(f"p={args.p} eps={sign} M={chk.m} "
-                      f"main={chk.main_term:.2f} bound={chk.bound:.2f} "
-                      f"holds={chk.holds}", file=out)
-    return EXIT_INCONSISTENT if violations else EXIT_OK
+            })
+    header = ["p", "epsilons", "m", "main_term", "bound", "holds"]
+    _emit(out, args.format, docs, _czcheck_text, header, _czcheck_csv)
+    return EXIT_OK if all(doc["holds"] for doc in docs) else EXIT_INCONSISTENT
 
 
 def _cmd_tables(args, out):
@@ -273,7 +263,7 @@ def _cmd_tables(args, out):
         rows, issues = search.reproduce_table1()
     else:
         rows, issues = search.reproduce_table2(factor_k_max=args.factor_k_max)
-    _emit_rows(rows, args.format, out)
+    _emit_rows(out, args.format, rows)
     for d in issues:
         print(
             f"DISCREPANCY T={d.T} field={d.field} "
@@ -291,7 +281,7 @@ def _cmd_scan(args, out):
         factor_k_max=args.factor_k_max,
         workers=args.workers,
     )
-    _emit_rows(search.scan(args.p_min, args.p_max, criteria), args.format, out)
+    _emit_rows(out, args.format, search.scan(args.p_min, args.p_max, criteria))
     return EXIT_OK
 
 

@@ -58,12 +58,16 @@ def _gf2_gcd(a: int, b: int) -> int:
     return a
 
 
+def _pack(seq: BitSequence) -> int:
+    """The bits as one integer with bit n = s_n: S(X) over GF(2) and S(2).
+    One base-2 parse is linear in T; base 2 has no int/str digit limit."""
+    return int("".join(map(str, reversed(seq.bits))), 2)
+
+
 def linear_complexity_gcd(seq: BitSequence) -> int:
     """T - deg(gcd(X^T - 1, S(X))) over GF(2); the all-zero sequence gives 0."""
     T = seq.period
-    s_poly = 0
-    for n, bit in enumerate(seq.bits):
-        s_poly |= bit << n
+    s_poly = _pack(seq)
     if s_poly == 0:
         return 0
     g = _gf2_gcd((1 << T) | 1, s_poly)
@@ -113,9 +117,7 @@ def two_adic_complexity(seq: BitSequence) -> TwoAdicResult:
 
     The constant sequences give C = 0: S(2) is 0 or 2^T - 1.
     """
-    s2 = 0
-    for n, bit in enumerate(seq.bits):
-        s2 |= bit << n
+    s2 = _pack(seq)
     modulus = (1 << seq.period) - 1
     d = gcd(modulus, s2) if s2 else modulus
     return TwoAdicResult(S2=s2, C=(modulus // d).bit_length() - 1)

@@ -9,8 +9,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-# Witness set deterministic for all n < 3.3 * 10^24, covers 64-bit inputs.
+# Miller-Rabin with the 12 prime bases up to 37 is deterministic below
+# psi_12 = 318665857834031151167461 ~ 3.19 * 10^23 (Sorenson-Webster 2015),
+# which covers 64-bit inputs; psi_12 itself is a strong pseudoprime to them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 # Trial-division ceiling before switching to Brent's rho.  10^4 keeps the
 # worst case (large prime cofactor) under a millisecond; rho covers the rest.
@@ -30,10 +33,13 @@ class FactorizationInfo:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
+    """Deterministic Miller-Rabin primality test for 0 <= n < psi_12;
+    ValueError from psi_12 up, where the witnesses prove nothing."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is proven only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -99,7 +105,7 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 
 
 def factorize(n: int) -> FactorizationInfo:
-    """Factor n >= 2 by trial division up to 10^6, then Brent's rho."""
+    """Factor n >= 2 by trial division up to 10^4, then Brent's rho."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     acc: dict[int, int] = {}

@@ -10,6 +10,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Iterator
 
@@ -98,112 +99,74 @@ def flag_row(row: SearchRow) -> SearchRow:
 def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRow:
     """Full quality row for one prime p, factor hunt within budget."""
     T = euler_phi(p - 1) - 1
-    ord_t = q = log2q = None
-    q_source = None
+    ord_t = q = None
     mersenne = False
     if is_prime(T):
         ord_t = multiplicative_order(2, T)
         mersenne = is_mersenne_prime(T)
         if not mersenne:
             q = smallest_mersenne_factor(T, factor_k_max)
-            if q is not None:
-                log2q = q.bit_length() - 1
-                q_source = "discovered"
     row = SearchRow(
         T=T,
         p=p,
         ord_T_2=ord_t,
         q=q,
-        log2q=log2q,
+        log2q=None if q is None else q.bit_length() - 1,
         ratio=Fraction(T + 1, p),
         mersenne=mersenne,
         flags=frozenset(),
-        q_source=q_source,
+        q_source=None if q is None else "discovered",
     )
     return flag_row(row)
 
 
-def reproduce_table1(
-    p_cap: int | None = None,
+def _diff_fixture(
+    table: str, factor_k_max: int
 ) -> tuple[list[SearchRow], list[Discrepancy]]:
-    """Recompute the Mersenne-period table and diff it against the fixture."""
+    """Build the row of each fixture period's largest p and diff the fields
+    the fixture lists; rows of table1 must be Mersenne, rows of table2 not.
+    A factor beyond the budget is verified against the fixture value."""
     rows: list[SearchRow] = []
     issues: list[Discrepancy] = []
-    for exp in _expected_tables()["table1"]:
+    for exp in _expected_tables()[table]:
         T = exp["T"]
-        p = largest_p_for_T(T, p_cap)
-        mersenne = is_mersenne_prime(T)
-        ord_t = multiplicative_order(2, T)
-        ratio = Fraction(T + 1, p) if p else None
+        p = largest_p_for_T(T)
         if p != exp["p"]:
             issues.append(Discrepancy(T, "p", exp["p"], p))
-        if ord_t != exp["ord"]:
-            issues.append(Discrepancy(T, "ord", exp["ord"], ord_t))
-        if ratio != Fraction(exp["ratio"]):
-            issues.append(Discrepancy(T, "ratio", exp["ratio"], ratio))
-        if not mersenne:
-            issues.append(Discrepancy(T, "mersenne", True, False))
-        rows.append(
-            flag_row(
-                SearchRow(
-                    T=T,
-                    p=p if p is not None else 0,
-                    ord_T_2=ord_t,
-                    q=None,
-                    log2q=None,
-                    ratio=ratio if ratio is not None else Fraction(0),
-                    mersenne=mersenne,
-                    flags=frozenset(),
-                )
+        if p is None:
+            continue
+        row = build_row(p, factor_k_max)
+        if row.q is None and "q" in exp and verify_mersenne_factor(T, exp["q"]):
+            q = exp["q"]
+            row = flag_row(
+                replace(row, q=q, log2q=q.bit_length() - 1, q_source="verified")
             )
-        )
+        want = {**exp, "ratio": Fraction(exp["ratio"]), "mersenne": table == "table1"}
+        got = {
+            "ord": row.ord_T_2,
+            "ratio": row.ratio,
+            "mersenne": row.mersenne,
+            "q": row.q,
+            "log2q": row.log2q,
+        }
+        for field, value in got.items():
+            if field in want and value != want[field]:
+                issues.append(Discrepancy(T, field, want[field], value))
+        rows.append(row)
     return rows, issues
+
+
+def reproduce_table1() -> tuple[list[SearchRow], list[Discrepancy]]:
+    """Recompute the Mersenne-period table and diff it against the fixture."""
+    return _diff_fixture("table1", DEFAULT_FACTOR_K_MAX)
 
 
 def reproduce_table2(
-    factor_k_max: int = DEFAULT_FACTOR_K_MAX, p_cap: int | None = None
+    factor_k_max: int = DEFAULT_FACTOR_K_MAX,
 ) -> tuple[list[SearchRow], list[Discrepancy]]:
     """Recompute the composite-Mersenne table; oversized factors are verified
     against the fixture value instead of rediscovered."""
-    rows: list[SearchRow] = []
-    issues: list[Discrepancy] = []
-    for exp in _expected_tables()["table2"]:
-        T = exp["T"]
-        p = largest_p_for_T(T, p_cap)
-        ord_t = multiplicative_order(2, T)
-        ratio = Fraction(T + 1, p) if p else None
-        q = smallest_mersenne_factor(T, factor_k_max)
-        q_source = "discovered" if q is not None else None
-        if q is None and verify_mersenne_factor(T, exp["q"]):
-            q = exp["q"]
-            q_source = "verified"
-        if p != exp["p"]:
-            issues.append(Discrepancy(T, "p", exp["p"], p))
-        if ord_t != exp["ord"]:
-            issues.append(Discrepancy(T, "ord", exp["ord"], ord_t))
-        if ratio != Fraction(exp["ratio"]):
-            issues.append(Discrepancy(T, "ratio", exp["ratio"], ratio))
-        if q != exp["q"]:
-            issues.append(Discrepancy(T, "q", exp["q"], q))
-        log2q = q.bit_length() - 1 if q is not None else None
-        if log2q != exp["log2q"]:
-            issues.append(Discrepancy(T, "log2q", exp["log2q"], log2q))
-        rows.append(
-            flag_row(
-                SearchRow(
-                    T=T,
-                    p=p if p is not None else 0,
-                    ord_T_2=ord_t,
-                    q=q,
-                    log2q=log2q,
-                    ratio=ratio if ratio is not None else Fraction(0),
-                    mersenne=False,
-                    flags=frozenset(),
-                    q_source=q_source,
-                )
-            )
-        )
-    return rows, issues
+    return _diff_fixture("table2", factor_k_max)
 
 
 @dataclass(frozen=True)
@@ -215,14 +178,13 @@ class ScanCriteria:
     workers: int = 1
 
 
-def _passes(row: SearchRow, criteria: ScanCriteria) -> bool:
+def _passes(criteria: ScanCriteria, row: SearchRow) -> bool:
     if criteria.require_t_prime and row.ord_T_2 is None:
         return False
     if criteria.require_no_flags and row.flags:
         return False
-    if criteria.require_two_primitive_root_mod_t:
-        if row.ord_T_2 is None or row.ord_T_2 != row.T - 1:
-            return False
+    if criteria.require_two_primitive_root_mod_t and row.ord_T_2 != row.T - 1:
+        return False
     return True
 
 
@@ -237,19 +199,10 @@ def scan(
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
     primes = [p for p in range(p_min | 1, p_max + 1, 2) if is_prime(p)]
+    budgets = [criteria.factor_k_max] * len(primes)
+    passes = partial(_passes, criteria)
     if criteria.workers > 1:
         with ProcessPoolExecutor(max_workers=criteria.workers) as pool:
-            rows = pool.map(
-                build_row,
-                primes,
-                [criteria.factor_k_max] * len(primes),
-                chunksize=16,
-            )
-            for row in rows:
-                if _passes(row, criteria):
-                    yield row
+            yield from filter(passes, pool.map(build_row, primes, budgets, chunksize=16))
     else:
-        for p in primes:
-            row = build_row(p, criteria.factor_k_max)
-            if _passes(row, criteria):
-                yield row
+        yield from filter(passes, map(build_row, primes, budgets))

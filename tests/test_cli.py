@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from rootparity import cli
 from rootparity.search import scan
 
@@ -80,6 +82,27 @@ class TestCzCheck:
         assert len(docs) == 2 + 4 + 8
         assert all(d["holds"] for d in docs)
 
+    def test_csv(self):
+        code, text = run(["czcheck", "--p", "13", "--s-max", "2", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["p", "epsilons", "m", "main_term", "bound", "holds"]
+        assert [r[1] for r in rows[1:]] == ["+", "-", "++", "+-", "-+", "--"]
+        assert [r[2] for r in rows[1:3]] == ["4", "8"]
+        assert all(r[0] == "13" and r[5] == "True" for r in rows[1:])
+
+    def test_violation_exits_3_after_every_record(self, monkeypatch):
+        from rootparity.sequence import CzCheck
+
+        monkeypatch.setattr(
+            cli.sequence, "cz_bound_check",
+            lambda p, eps: CzCheck(m=1, main_term=0.0, bound=0.5, holds=len(eps) != 1),
+        )
+        code, text = run(["czcheck", "--p", "13", "--s-max", "2", "--format", "json-lines"])
+        assert code == cli.EXIT_INCONSISTENT
+        assert [json.loads(line)["holds"] for line in text.splitlines()] == [
+            False, False, True, True, True, True]
+
 
 class TestTables:
     def test_table1(self):
@@ -127,6 +150,35 @@ class TestScanCommand:
         doc = json.loads(json.dumps(cli.row_to_json(row)))
         assert isinstance(doc["q"], str)
         assert cli.row_from_json(doc) == row
+
+
+class TestEmptyRanges:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--p-min", "24", "--p-max", "28"],
+        ["analyze", "--p-range", "24..28"],
+    ])
+    def test_csv_prints_only_the_header(self, argv):
+        header = cli.ROW_CSV_HEADER if argv[0] == "scan" else cli.ANALYZE_CSV_HEADER
+        code, text = run(argv + ["--format", "csv"])
+        assert code == 0
+        assert list(csv.reader(io.StringIO(text))) == [header]
+        for fmt in ("json-lines", "text"):
+            assert run(argv + ["--format", fmt]) == (0, "")
+
+    def test_emitter_writes_the_csv_header_before_the_first_record(self):
+        docs_seen = []
+
+        def docs():
+            docs_seen.append(out.getvalue())
+            yield {"a": 1, "b": None}
+
+        out = io.StringIO()
+        cli._emit(out, "csv", docs(), str, ["a", "b"])
+        assert docs_seen == ["a,b\r\n"]
+        assert out.getvalue() == "a,b\r\n1,\r\n"
+        out = io.StringIO()
+        cli._emit(out, "csv", iter(()), str, ["a", "b"])
+        assert out.getvalue() == "a,b\r\n"
 
 
 class TestUsageErrors:

@@ -51,6 +51,15 @@ class TestIsPrime:
             assert not is_prime(n)
         assert is_prime(2 ** 61 - 1)
 
+    def test_rejects_inputs_from_the_proven_bound(self):
+        # psi_12 = 399165290221 * 798330580441 passes all 12 witnesses <= 37
+        psi_12 = 318665857834031151167461
+        assert 399165290221 * 798330580441 == psi_12
+        assert is_prime(399165290221) and is_prime(798330580441)
+        for n in (psi_12, psi_12 + 2, 2 ** 89 - 1):
+            with pytest.raises(ValueError):
+                is_prime(n)
+
 
 class TestFactorize:
     def test_examples(self):

@@ -96,6 +96,25 @@ class TestTables:
             r.q_source == "discovered" for r in rows if r.T != 199
         )
 
+    def test_missing_p_is_a_discrepancy_without_a_row(self, monkeypatch):
+        import rootparity.search as search
+
+        found = search.largest_p_for_T
+        monkeypatch.setattr(
+            search, "largest_p_for_T", lambda T: None if T == 7 else found(T))
+        rows, issues = reproduce_table1()
+        assert [r.T for r in rows] == [3, 5, 19, 31, 107, 127, 1279, 2203]
+        assert [(d.T, d.field, d.expected, d.actual) for d in issues] == [
+            (7, "p", 31, None)]
+
+    def test_budget_miss_falls_back_to_the_fixture_factor(self):
+        rows, issues = reproduce_table2(factor_k_max=1)
+        assert issues == []
+        by_t = {r.T: r for r in rows}
+        assert by_t[11].q_source == "discovered"  # 23 = 2*1*11 + 1
+        # 431 = 2*5*43 + 1 lies beyond a budget of one candidate
+        assert (by_t[43].q, by_t[43].log2q, by_t[43].q_source) == (431, 8, "verified")
+
 
 class TestScan:
     def test_single_prime_row(self):
