@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -36,7 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_int(n):
-    return str(n) if abs(n) > _JSON_INT_MAX else n
+    # str(Decimal(n)) is exact and, unlike str(n), not capped at 4300 digits
+    return str(Decimal(n)) if abs(n) > _JSON_INT_MAX else n
 
 
 def _frac_str(f: Fraction) -> str:
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json-lines", "csv"],
                        default="text")
 
-    default_k_max = _env_int("ROOTPARITY_FACTOR_K_MAX", 10 ** 6)
+    default_k_max = _env_int("ROOTPARITY_FACTOR_K_MAX", search.DEFAULT_FACTOR_K_MAX)
     default_workers = _env_int("ROOTPARITY_WORKERS", 1)
 
     gen = sub.add_parser("generate", help="emit one period of the sequence")

@@ -33,8 +33,6 @@ class TwoAdicResult:
 class ComplexityReport:
     T: int
     L: int
-    L_bm: int
-    L_gcd: int
     s1: int
     epsilon: int
     L_lower: int  # the paper's bound; holds only for a non-constant sequence
@@ -158,8 +156,6 @@ def full_report(ctx: PrimeContext, factor_budget: int = 10 ** 4) -> ComplexityRe
     return ComplexityReport(
         T=ctx.T,
         L=l_gcd,
-        L_bm=l_bm,
-        L_gcd=l_gcd,
         s1=s_one(seq),
         epsilon=eps,
         L_lower=lc_lower_bound(factorize(ctx.T), eps),

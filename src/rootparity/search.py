@@ -194,15 +194,20 @@ def scan(
     """Rows for every prime in [p_min, p_max] passing the criteria filter.
 
     Deterministic and order-stable: rows are emitted in ascending p even
-    when the per-prime work is spread over multiple workers.
+    when the per-prime work is spread over multiple workers. The arguments
+    are checked when scan is called, before the first row is asked for.
     """
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
     primes = [p for p in range(p_min | 1, p_max + 1, 2) if is_prime(p)]
     budgets = [criteria.factor_k_max] * len(primes)
-    passes = partial(_passes, criteria)
     if criteria.workers > 1:
-        with ProcessPoolExecutor(max_workers=criteria.workers) as pool:
-            yield from filter(passes, pool.map(build_row, primes, budgets, chunksize=16))
+        rows = _pool_rows(primes, budgets, criteria.workers)
     else:
-        yield from filter(passes, map(build_row, primes, budgets))
+        rows = map(build_row, primes, budgets)
+    return filter(partial(_passes, criteria), rows)
+
+
+def _pool_rows(primes: list[int], budgets: list[int], workers: int) -> Iterator[SearchRow]:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(build_row, primes, budgets, chunksize=16)

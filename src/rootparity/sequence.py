@@ -7,10 +7,11 @@ primitive roots differ by exactly 1.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .bounds import predicted_balance_fracs, predicted_pattern_frac
 from .numtheory import factorize, is_prime, primitive_roots
@@ -90,6 +91,11 @@ def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
     )
 
 
+def _window_counts(bits, ell: int) -> Counter:
+    """Occurrences of each length-ell window tuple of bits, n = 0..len(bits)-ell."""
+    return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
+
+
 def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternReport:
     """Counts of every length-ell pattern over the windows n = 0..T-ell.
 
@@ -98,10 +104,8 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
     """
     if not 1 <= ell <= seq.period:
         raise ValueError(f"ell must lie in [1, {seq.period}], got {ell}")
-    counts = {"".join(map(str, pat)): 0 for pat in product((0, 1), repeat=ell)}
-    bits = seq.bits
-    for n in range(seq.period - ell + 1):
-        counts["".join(map(str, bits[n:n + ell]))] += 1
+    windows = _window_counts(seq.bits, ell)
+    counts = {"".join(map(str, pat)): windows[pat] for pat in product((0, 1), repeat=ell)}
     weight_counts = {w: 0 for w in range(ell + 1)}
     for pat, c in counts.items():
         weight_counts[pat.count("1")] += c
@@ -124,10 +128,10 @@ def block_count(p: int, epsilons: list[int]) -> int:
         raise ValueError(f"block length {s} must be < p = {p}")
     if any(e not in (1, -1) for e in epsilons):
         raise ValueError("epsilons entries must be +1 or -1")
-    root_set = set(primitive_roots(p))
-    c = [1 if i in root_set else -1 for i in range(p)]
-    want = tuple(epsilons)
-    return sum(1 for j in range(1, p - s + 1) if tuple(c[j:j + s]) == want)
+    is_root = bytearray(p)
+    for g in primitive_roots(p):
+        is_root[g] = 1
+    return _window_counts(is_root[1:], s)[tuple(int(e == 1) for e in epsilons)]
 
 
 def cz_bound_check(p: int, epsilons: list[int], tau: int | None = None) -> CzCheck:

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
-from rootparity import cli
+from rootparity import cli, complexity, sequence
 from rootparity.search import scan
 
 
@@ -63,6 +64,25 @@ class TestAnalyze:
         doc = json.loads(text)
         assert isinstance(doc["S2"], str)
         assert int(doc["S2"]) > 2 ** 53
+
+    def test_s2_beyond_the_int_str_digit_limit(self):
+        # T = 19199: S2 has 5780 decimal digits, past str(int)'s 4300
+        want = complexity.full_report(sequence.build_context(50021)).S2
+        code, text = run(["analyze", "--p", "50021", "--format", "json-lines"])
+        assert code == 0
+        assert int(Decimal(json.loads(text)["S2"])) == want
+        code, text = run(["analyze", "--p", "50021"])
+        assert code == 0
+        doc = dict(line.split(" = ") for line in text.splitlines() if line)
+        assert int(Decimal(doc["S2"])) == want
+
+    def test_bm_gcd_mismatch_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            complexity, "linear_complexity_bm",
+            lambda seq: complexity.linear_complexity_gcd(seq) + 1,
+        )
+        assert run(["analyze", "--p", "43"]) == (cli.EXIT_INCONSISTENT, "")
+        assert "internal inconsistency" in capsys.readouterr().err
 
 
 class TestPatterns:
@@ -129,6 +149,11 @@ class TestScanCommand:
         rows = list(scan(11, 100))
         docs = [json.loads(line) for line in text.splitlines()]
         assert [cli.row_from_json(d) for d in docs] == rows
+
+    def test_small_p_min_fails_before_the_csv_header(self, capsys):
+        argv = ["scan", "--p-min", "5", "--p-max", "30", "--format", "csv"]
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        assert "p_min must be >= 11" in capsys.readouterr().err
 
     def test_big_q_roundtrip(self):
         # a q beyond 2^53 must survive the string serialization

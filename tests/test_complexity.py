@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootparity import complexity
 from rootparity.complexity import (
+    InconsistencyError,
     c_lower_bound,
     epsilon_of,
     full_report,
@@ -132,7 +134,7 @@ class TestFullReport:
     def test_p13(self):
         rep = full_report(build_context(13))
         assert rep.T == 3
-        assert rep.L == rep.L_bm == rep.L_gcd == 3
+        assert rep.L == 3
         assert rep.s1 == 1
         assert rep.epsilon == 1
         assert rep.L_lower == 3
@@ -149,6 +151,13 @@ class TestFullReport:
         rep = full_report(build_context(11))
         assert rep.epsilon == 0
         assert rep.L >= rep.L_lower
+
+    def test_bm_gcd_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            complexity, "linear_complexity_bm", lambda seq: linear_complexity_gcd(seq) + 1
+        )
+        with pytest.raises(InconsistencyError):
+            full_report(build_context(43))
 
     def test_composite_period_has_no_c_lower(self):
         rep = full_report(build_context(41))  # T = 15 composite

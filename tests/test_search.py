@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootparity import search
 from rootparity.numtheory import euler_phi, is_prime
 from rootparity.search import (
     FLAG_LARGE_RATIO,
@@ -162,5 +163,17 @@ class TestScan:
         assert par == ser
 
     def test_rejects_small_p_min(self):
+        # on the call itself, before any row is asked for
         with pytest.raises(ValueError):
-            next(scan(5, 100))
+            scan(5, 100)
+        with pytest.raises(ValueError):
+            scan(5, 100, ScanCriteria(workers=2))
+
+    def test_rows_are_built_as_they_are_asked_for(self, monkeypatch):
+        built = []
+        real = search.build_row
+        monkeypatch.setattr(search, "build_row", lambda p, k: built.append(p) or real(p, k))
+        rows = scan(11, 100)
+        assert built == []
+        assert next(rows).p == 11
+        assert built == [11]

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +7,7 @@ import pytest
 
 from rootparity.numtheory import is_prime, primitive_roots
 from rootparity.sequence import (
+    _window_counts,
     balance,
     block_count,
     build_context,
@@ -87,6 +90,18 @@ class TestBalance:
             rep = balance(build_s_sequence(ctx), ctx)
             assert rep.predicted_frac0 + rep.predicted_frac1 == 1
             assert rep.n0 + rep.n1 == ctx.T
+
+
+class TestWindowCounts:
+    def test_matches_naive_slice_counting(self):
+        rng = random.Random(2021)
+        for n in range(1, 41):
+            for _ in range(3):
+                bits = tuple(rng.getrandbits(1) for _ in range(n))
+                for ell in range(1, n + 1):
+                    naive = Counter(bits[i:i + ell] for i in range(n - ell + 1))
+                    assert _window_counts(bits, ell) == naive
+                    assert _window_counts(bytearray(bits), ell) == naive
 
 
 class TestPatternStats:
