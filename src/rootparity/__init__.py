@@ -24,6 +24,7 @@ from .numtheory import (
     factorize,
     is_mersenne_prime,
     is_prime,
+    mersenne_status,
     multiplicative_order,
     primitive_roots,
     smallest_mersenne_factor,

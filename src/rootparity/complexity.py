@@ -11,10 +11,9 @@ from math import gcd
 from .numtheory import (
     FactorizationInfo,
     factorize,
-    is_mersenne_prime,
     is_prime,
+    mersenne_status,
     multiplicative_order,
-    smallest_mersenne_factor,
 )
 from .sequence import BitSequence, PrimeContext, build_s_sequence
 
@@ -147,12 +146,11 @@ def full_report(ctx: PrimeContext, factor_budget: int = 10 ** 4) -> ComplexityRe
     two_adic = two_adic_complexity(seq)
     c_lower: int | None = None
     if is_prime(ctx.T):
-        if is_mersenne_prime(ctx.T):
+        mersenne, q = mersenne_status(ctx.T, factor_budget)
+        if mersenne:
             c_lower = ctx.T - 1
-        else:
-            q = smallest_mersenne_factor(ctx.T, factor_budget)
-            if q is not None:
-                c_lower = c_lower_bound(q)
+        elif q is not None:
+            c_lower = c_lower_bound(q)
     return ComplexityReport(
         T=ctx.T,
         L=l_gcd,

@@ -1,12 +1,14 @@
 """Exact integer number theory for inputs up to 64 bits.
 
 Deterministic primality, factorization (trial division + Brent's rho),
-totient, multiplicative order, primitive root enumeration, Lucas-Lehmer
-testing and Mersenne-factor hunting.
+totient, multiplicative order, primitive root enumeration, the Mersenne
+prime test (a table of known exponents, Lucas-Lehmer above it) and a sieved
+Mersenne-factor hunt.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
@@ -166,7 +168,8 @@ def _find_generator(p: int, phi_factors: tuple[int, ...]) -> int:
     raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
-@lru_cache(maxsize=128)
+# Bounded like sequence.build_context, whose contexts hold these tuples.
+@lru_cache(maxsize=4)
 def primitive_roots(p: int) -> tuple[int, ...]:
     """All primitive roots modulo an odd prime p, in increasing order."""
     if p < 3 or not is_prime(p):
@@ -184,10 +187,39 @@ def primitive_roots(p: int) -> tuple[int, ...]:
     return tuple(roots)
 
 
-def is_mersenne_prime(T: int) -> bool:
-    """Lucas-Lehmer test: is 2^T - 1 prime?  T itself must be prime."""
-    if not is_prime(T):
-        raise ValueError(f"Mersenne exponent must be prime, got {T}")
+# Exponents T of the Mersenne primes 2^T - 1 with T <= _MERSENNE_TABLE_BOUND.
+# GIMPS (mersenne.org) has tested every prime exponent up to 43112609, the
+# 47th Mersenne prime, and checked each result a second time, so the list is
+# complete up to there.
+_MERSENNE_TABLE_BOUND = 43112609
+_MERSENNE_EXPONENTS = frozenset((
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+    3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+    110503, 132049, 216091, 756839, 859433, 1257787, 1398269, 2976221, 3021377,
+    6972593, 13466917, 20996011, 24036583, 25964951, 30402457, 32582657,
+    37156667, 42643801, 43112609,
+))
+
+# Candidates 2kT + 1 of the factor hunt are taken in blocks of this many k
+# and sieved by the odd primes below _SIEVE_LIMIT, which a bytearray sieve
+# finds at import in about 50 microseconds (is_prime would take 2 ms).
+_HUNT_BLOCK = 4096
+_SIEVE_LIMIT = 1000
+
+
+def _small_odd_primes(limit: int) -> tuple[int, ...]:
+    composite = bytearray(limit)
+    for i in range(3, int(limit ** 0.5) + 1, 2):
+        if not composite[i]:
+            composite[i * i::2 * i] = b"\1" * len(range(i * i, limit, 2 * i))
+    return tuple(i for i in range(3, limit, 2) if not composite[i])
+
+
+_SIEVE_PRIMES = _small_odd_primes(_SIEVE_LIMIT)
+
+
+def _lucas_lehmer(T: int) -> bool:
+    """Lucas-Lehmer test of 2^T - 1 for prime T; O(T^2.6) with Python ints."""
     if T == 2:
         return True
     n = (1 << T) - 1
@@ -197,22 +229,71 @@ def is_mersenne_prime(T: int) -> bool:
     return s == 0
 
 
+def is_mersenne_prime(T: int) -> bool:
+    """Is 2^T - 1 prime?  T itself must be prime.
+
+    Up to 43112609 (the 47th Mersenne prime exponent) the answer is a lookup
+    in the embedded list of Mersenne prime exponents, which GIMPS has
+    verified to be complete up to there.  Above it the Lucas-Lehmer test
+    decides.
+    """
+    if not is_prime(T):
+        raise ValueError(f"Mersenne exponent must be prime, got {T}")
+    if T <= _MERSENNE_TABLE_BOUND:
+        return T in _MERSENNE_EXPONENTS
+    return _lucas_lehmer(T)
+
+
+# Many primes share a period: scan 11..7000 hunts 129 distinct T for 333
+# prime periods.
+@lru_cache(maxsize=1024)
 def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     """Hunt the smallest prime factor of 2^T - 1 for prime T.
 
-    Candidates are 2kT + 1 with q = +-1 (mod 8), k = 1..k_max; the first
-    divisor found is automatically the smallest prime factor.  Returns None
-    if nothing divides within the budget.
+    Every prime factor q of 2^T - 1 is 2kT + 1 with q = +-1 (mod 8).  The
+    candidates k = 1..k_max are taken in increasing order, in blocks; a
+    sieve drops those that are not +-1 (mod 8) or have a prime factor
+    r < 1000 other than themselves, and only the survivors are tried.  The
+    first survivor that divides is the smallest prime factor: any smaller
+    prime factor would be a smaller candidate, which is prime and so is
+    never sieved out, and a composite candidate that divides has its prime
+    factors among the smaller candidates.  Returns None if nothing divides
+    within the budget.
     """
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
     step = 2 * T
-    q = 1
-    for _ in range(k_max):
-        q += step
-        if q % 8 in (1, 7) and pow(2, T, q) == 1:
-            return q
+    # (m, k0, first): drop every k = k0 (mod m) from k = first on.  k mod 4
+    # fixes 2kT + 1 mod 8; k = -(2T)^-1 (mod r) makes r divide 2kT + 1,
+    # and the first such k is kept when the candidate is r itself, a prime.
+    drops = [(4, c, c) for c in range(4) if (c * step + 1) % 8 not in (1, 7)]
+    for r in _SIEVE_PRIMES:
+        if step % r:
+            k0 = -pow(step, -1, r) % r
+            drops.append((r, k0, k0 + r if k0 * step + 1 == r else k0))
+    for lo in range(1, k_max + 1, _HUNT_BLOCK):
+        n = min(_HUNT_BLOCK, k_max + 1 - lo)
+        alive = bytearray(b"\1") * n
+        for m, k0, first in drops:
+            i = max(first - lo, (k0 - lo) % m)
+            alive[i::m] = bytes(len(range(i, n, m)))
+        for k in compress(range(lo, lo + n), alive):
+            q = k * step + 1
+            if pow(2, T, q) == 1:
+                return q
     return None
+
+
+def mersenne_status(T: int, k_max: int) -> tuple[bool, int | None]:
+    """(2^T - 1 is prime, its smallest prime factor within the hunt budget).
+
+    T must be prime.  A Mersenne prime is never hunted: its only prime
+    factor is 2^T - 1 itself (T = 3 would give q = 7), so it reads
+    (True, None).
+    """
+    if is_mersenne_prime(T):
+        return True, None
+    return False, smallest_mersenne_factor(T, k_max)
 
 
 def verify_mersenne_factor(T: int, q: int) -> bool:

@@ -16,10 +16,9 @@ from typing import Iterator
 
 from .numtheory import (
     euler_phi,
-    is_mersenne_prime,
     is_prime,
+    mersenne_status,
     multiplicative_order,
-    smallest_mersenne_factor,
     verify_mersenne_factor,
 )
 
@@ -77,7 +76,11 @@ def largest_p_for_T(T: int, p_cap: int | None = None) -> int | None:
         raise ValueError(f"T must be odd and >= 3, got {T}")
     if p_cap is None:
         p_cap = default_p_cap(T)
-    phi = _phi_sieve(p_cap)
+    return _largest_p(T, p_cap, _phi_sieve(p_cap))
+
+
+def _largest_p(T: int, p_cap: int, phi: list[int]) -> int | None:
+    """largest_p_for_T over a phi sieve that reaches at least p_cap - 1."""
     for p in range(p_cap if p_cap % 2 else p_cap - 1, 10, -2):
         if phi[p - 1] == T + 1 and is_prime(p):
             return p
@@ -103,9 +106,7 @@ def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRo
     mersenne = False
     if is_prime(T):
         ord_t = multiplicative_order(2, T)
-        mersenne = is_mersenne_prime(T)
-        if not mersenne:
-            q = smallest_mersenne_factor(T, factor_k_max)
+        mersenne, q = mersenne_status(T, factor_k_max)
     row = SearchRow(
         T=T,
         p=p,
@@ -125,12 +126,15 @@ def _diff_fixture(
 ) -> tuple[list[SearchRow], list[Discrepancy]]:
     """Build the row of each fixture period's largest p and diff the fields
     the fixture lists; rows of table1 must be Mersenne, rows of table2 not.
-    A factor beyond the budget is verified against the fixture value."""
+    A factor beyond the budget is verified against the fixture value.  One
+    phi sieve, sized to the largest period's cap, serves every period."""
     rows: list[SearchRow] = []
     issues: list[Discrepancy] = []
-    for exp in _expected_tables()[table]:
+    fixture = _expected_tables()[table]
+    phi = _phi_sieve(max(default_p_cap(exp["T"]) for exp in fixture))
+    for exp in fixture:
         T = exp["T"]
-        p = largest_p_for_T(T)
+        p = _largest_p(T, default_p_cap(T), phi)
         if p != exp["p"]:
             issues.append(Discrepancy(T, "p", exp["p"], p))
         if p is None:

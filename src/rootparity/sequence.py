@@ -58,7 +58,9 @@ class CzCheck:
     holds: bool
 
 
-@lru_cache(maxsize=64)
+# A command reuses only the context of its current p; at p ~ 10^6 one
+# context holds about 19 MB, so the cache keeps a handful.
+@lru_cache(maxsize=4)
 def build_context(p: int) -> PrimeContext:
     """Validate p and assemble roots, phi, period and eta."""
     if not is_prime(p) or p < 11:

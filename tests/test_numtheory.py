@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootparity import numtheory
 from rootparity.numtheory import (
+    _lucas_lehmer,
     euler_phi,
     factorize,
     is_mersenne_prime,
     is_prime,
+    mersenne_status,
     multiplicative_order,
     primitive_roots,
     smallest_mersenne_factor,
@@ -183,6 +186,42 @@ class TestMersenne:
         for t in range(2, 62):
             if is_prime(t):
                 assert is_mersenne_prime(t) == is_prime(2 ** t - 1)
+
+    def test_table_agrees_with_lucas_lehmer(self):
+        for t in range(2, 1300):  # 1279 is the largest exponent in range
+            if is_prime(t):
+                assert is_mersenne_prime(t) == _lucas_lehmer(t), t
+
+    def test_lucas_lehmer_decides_above_the_table_bound(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(numtheory, "_MERSENNE_TABLE_BOUND", 100)
+        monkeypatch.setattr(
+            numtheory, "_lucas_lehmer", lambda t: tested.append(t) or _lucas_lehmer(t))
+        assert [is_mersenne_prime(t) for t in (89, 107, 127, 131)] == [
+            True, True, True, False]
+        assert tested == [107, 127, 131]
+
+    def test_sieved_hunt_matches_the_unsieved_loop(self):
+        # The unsieved loop's first divisor within 10^4 candidates gives the
+        # answer for every smaller budget: q = 2kT + 1 is found iff k <= k_max.
+        for t in range(3, 3000):
+            if not is_prime(t):
+                continue
+            q = next((q for q in range(2 * t + 1, 2 * t * 10 ** 4 + 2, 2 * t)
+                      if q % 8 in (1, 7) and pow(2, t, q) == 1), None)
+            for k_max in (1, 7, 100, 10 ** 4):
+                want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
+                assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
+
+    def test_mersenne_period_is_not_hunted(self):
+        assert smallest_mersenne_factor(3, 1) == 7  # 2^3 - 1 itself
+        assert mersenne_status(3, 10 ** 6) == (True, None)
+        assert mersenne_status(11, 10 ** 6) == (False, 23)
+        assert mersenne_status(199, 100) == (False, None)
+
+    def test_no_budget_finds_nothing(self):
+        assert smallest_mersenne_factor(11, 0) is None
+        assert smallest_mersenne_factor(11, -5) is None
 
     def test_smallest_factor_examples(self):
         assert smallest_mersenne_factor(11, 100) == 23

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rootparity import search
+from rootparity import numtheory, search
 from rootparity.numtheory import euler_phi, is_prime
 from rootparity.search import (
     FLAG_LARGE_RATIO,
@@ -11,6 +13,7 @@ from rootparity.search import (
     ScanCriteria,
     SearchRow,
     build_row,
+    default_p_cap,
     flag_row,
     largest_p_for_T,
     reproduce_table1,
@@ -38,6 +41,21 @@ class TestLargestP:
             largest_p_for_T(4)
         with pytest.raises(ValueError):
             largest_p_for_T(1)
+
+    def test_fixture_periods_on_one_shared_sieve(self):
+        fixture = search._expected_tables()
+        periods = [(exp["T"], exp["p"]) for exp in fixture["table1"] + fixture["table2"]]
+        phi = search._phi_sieve(max(default_p_cap(T) for T, _ in periods))
+        for T, p in periods:
+            assert largest_p_for_T(T) == search._largest_p(T, default_p_cap(T), phi) == p
+
+    @pytest.mark.parametrize("table", [reproduce_table1, reproduce_table2])
+    def test_one_phi_sieve_per_table(self, monkeypatch, table):
+        built = []
+        real = search._phi_sieve
+        monkeypatch.setattr(search, "_phi_sieve", lambda n: built.append(n) or real(n))
+        table()
+        assert len(built) == 1
 
 
 def make_row(T, p, ord_t=None, q=None):
@@ -100,9 +118,10 @@ class TestTables:
     def test_missing_p_is_a_discrepancy_without_a_row(self, monkeypatch):
         import rootparity.search as search
 
-        found = search.largest_p_for_T
+        found = search._largest_p
         monkeypatch.setattr(
-            search, "largest_p_for_T", lambda T: None if T == 7 else found(T))
+            search, "_largest_p",
+            lambda T, p_cap, phi: None if T == 7 else found(T, p_cap, phi))
         rows, issues = reproduce_table1()
         assert [r.T for r in rows] == [3, 5, 19, 31, 107, 127, 1279, 2203]
         assert [(d.T, d.field, d.expected, d.actual) for d in issues] == [
@@ -177,3 +196,37 @@ class TestScan:
         assert built == []
         assert next(rows).p == 11
         assert built == [11]
+
+
+class TestLucasLehmerStaysOffTheHotPath:
+    """Rows and tables must not run Lucas-Lehmer: the exponent table answers.
+    perfbench/expected.json holds the rows as built with Lucas-Lehmer."""
+
+    @pytest.fixture(autouse=True)
+    def no_lucas_lehmer(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError(f"Lucas-Lehmer run for T={T}")
+        monkeypatch.setattr(numtheory, "_lucas_lehmer", refuse)
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        path = Path(__file__).parents[1] / "perfbench" / "expected.json"
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def assert_rows(rows, want):
+        got = [{"T": r.T, "p": r.p, "ord": r.ord_T_2, "q": r.q, "log2q": r.log2q,
+                "ratio": f"{r.ratio.numerator}/{r.ratio.denominator}",
+                "flags": sorted(r.flags), "mersenne": r.mersenne} for r in rows]
+        assert got == want
+
+    def test_scan_rows_up_to_7000(self, expected):
+        want = [r for r in expected["scan"]["rows"] if r["p"] <= 7000]
+        self.assert_rows([build_row(p) for p in range(11, 7001) if is_prime(p)], want)
+
+    def test_tables(self, expected):
+        for table, want in ((reproduce_table1, expected["tables"]["1"]),
+                            (reproduce_table2, expected["tables"]["2"])):
+            rows, issues = table()
+            assert issues == []
+            self.assert_rows(rows, want)

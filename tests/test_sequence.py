@@ -41,6 +41,21 @@ class TestBuildContext:
             with pytest.raises(ValueError):
                 build_context(bad)
 
+    def test_cache_is_bounded_and_evicts_the_oldest(self):
+        for cached in (build_context, primitive_roots):
+            size = cached.cache_info().maxsize
+            assert size is not None and size <= 8
+        build_context.cache_clear()
+        primes = PRIMES_2000[: build_context.cache_info().maxsize + 1]
+        for p in primes:
+            build_context(p)
+        assert build_context.cache_info().currsize == len(primes) - 1
+        misses = build_context.cache_info().misses
+        build_context(primes[-1])
+        assert build_context.cache_info().misses == misses
+        build_context(primes[0])
+        assert build_context.cache_info().misses == misses + 1
+
     def test_invariants_sweep(self):
         for p in PRIMES_2000[:100]:
             ctx = build_context(p)
