@@ -43,14 +43,15 @@ def predicted_pattern_frac(eta: Fraction, ell: int, w: int) -> Fraction:
     return frac1 ** w * frac0 ** (ell - w)
 
 
-def classify_eta(eta: Fraction, tol: float = DEFAULT_CLASSIFY_TOL) -> EtaProfile:
-    """Advisory regime label: nearest anchor of {1/2, 0, 4/pi^2} within tol."""
+def classify_eta(eta: Fraction) -> EtaProfile:
+    """Advisory regime label: nearest anchor of {1/2, 0, 4/pi^2} within
+    DEFAULT_CLASSIFY_TOL."""
     eta = Fraction(eta)
     if not 0 < eta < Fraction(1, 2):
         raise ValueError(f"eta must lie in (0, 1/2), got {eta}")
     x = float(eta)
     anchors = (("large", 0.5), ("small", 0.0), ("typical", TYPICAL_ETA))
-    label, dist = "generic", tol
+    label, dist = "generic", DEFAULT_CLASSIFY_TOL
     for name, anchor in anchors:
         d = abs(x - anchor)
         if d < dist:

@@ -59,21 +59,6 @@ def row_to_json(row: search.SearchRow) -> dict:
     }
 
 
-def row_from_json(doc: dict) -> search.SearchRow:
-    q = doc["q"]
-    return search.SearchRow(
-        T=doc["T"],
-        p=doc["p"],
-        ord_T_2=doc["ord"],
-        q=int(q) if q is not None else None,
-        log2q=doc["log2q"],
-        ratio=Fraction(doc["ratio"]),
-        mersenne=doc["mersenne"],
-        flags=frozenset(doc["flags"]),
-        q_source=doc["q_source"],
-    )
-
-
 ROW_CSV_HEADER = [
     "T", "p", "ord", "q", "log2q", "ratio", "ratio_frac",
     "mersenne", "flags", "q_source",

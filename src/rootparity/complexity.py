@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .numtheory import (
+    DEFAULT_SCAN_FACTOR_K_MAX,
     FactorizationInfo,
     factorize,
     is_prime,
@@ -127,7 +128,9 @@ def c_lower_bound(q: int) -> int:
     return q.bit_length() - 1
 
 
-def full_report(ctx: PrimeContext, factor_budget: int = 10 ** 4) -> ComplexityReport:
+def full_report(
+    ctx: PrimeContext, factor_budget: int = DEFAULT_SCAN_FACTOR_K_MAX
+) -> ComplexityReport:
     """Assemble every exact value and lower bound for the parity sequence.
 
     L_lower and C_lower are the paper's bounds for a non-constant sequence

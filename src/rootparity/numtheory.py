@@ -107,7 +107,7 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 
 
 def factorize(n: int) -> FactorizationInfo:
-    """Factor n >= 2 by trial division up to 10^4, then Brent's rho."""
+    """Factor n >= 2 by trial division by the primes below 10^4, then Brent's rho."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     acc: dict[int, int] = {}
@@ -115,14 +115,16 @@ def factorize(n: int) -> FactorizationInfo:
     while m % 2 == 0:
         m //= 2
         acc[2] = acc.get(2, 0) + 1
-    d = 3
-    while d <= _TRIAL_LIMIT and d * d <= m:
-        while m % d == 0:
-            m //= d
-            acc[d] = acc.get(d, 0) + 1
-        d += 2
+    for r in _ODD_PRIMES:
+        if r * r > m:
+            break
+        while m % r == 0:
+            m //= r
+            acc[r] = acc.get(r, 0) + 1
     if m > 1:
-        if d * d > m:
+        # m has no prime factor up to sqrt(m) if the loop broke, and none below
+        # _TRIAL_LIMIT if it ran out: either way m < _TRIAL_LIMIT^2 is prime.
+        if m < _TRIAL_LIMIT ** 2:
             acc[m] = acc.get(m, 0) + 1
         else:
             _factor_into(m, acc)
@@ -201,8 +203,7 @@ _MERSENNE_EXPONENTS = frozenset((
 ))
 
 # Candidates 2kT + 1 of the factor hunt are taken in blocks of this many k
-# and sieved by the odd primes below _SIEVE_LIMIT, which a bytearray sieve
-# finds at import in about 50 microseconds (is_prime would take 2 ms).
+# and sieved by the odd primes below _SIEVE_LIMIT.
 _HUNT_BLOCK = 4096
 _SIEVE_LIMIT = 1000
 
@@ -215,7 +216,14 @@ def _small_odd_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(3, limit, 2) if not composite[i])
 
 
-_SIEVE_PRIMES = _small_odd_primes(_SIEVE_LIMIT)
+# The 1228 odd primes below _TRIAL_LIMIT: factorize trial-divides by all of
+# them, the hunt sieves by those below _SIEVE_LIMIT.
+_ODD_PRIMES = _small_odd_primes(_TRIAL_LIMIT)
+_SIEVE_PRIMES = tuple(r for r in _ODD_PRIMES if r < _SIEVE_LIMIT)
+
+# Factor-hunt budgets k_max; the README says which command uses which.
+DEFAULT_FACTOR_K_MAX = 10 ** 6
+DEFAULT_SCAN_FACTOR_K_MAX = 10 ** 4
 
 
 def _lucas_lehmer(T: int) -> bool:

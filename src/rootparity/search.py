@@ -1,8 +1,8 @@
 """Reference-table reproduction and prime search.
 
-Builds rows (T, p, ord_T(2), smallest Mersenne factor, ratio, quality
-flags), regenerates the two published tables against an embedded fixture,
-and scans prime ranges for candidates without undesirable features.
+Builds rows (T, p, ord_T(2), smallest Mersenne factor; derived ratio and flags),
+regenerates the two published tables against an embedded fixture, and scans
+prime ranges for candidates without undesirable features.
 """
 
 import json
@@ -12,9 +12,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .numtheory import (
+    DEFAULT_FACTOR_K_MAX,
+    DEFAULT_SCAN_FACTOR_K_MAX,
     euler_phi,
     is_prime,
     mersenne_status,
@@ -26,21 +28,37 @@ FLAG_SMALL_LOG2Q = "SMALL_LOG2Q"
 FLAG_SMALL_ORD = "SMALL_ORD"
 FLAG_LARGE_RATIO = "LARGE_RATIO"
 
-DEFAULT_FACTOR_K_MAX = 10 ** 6
-DEFAULT_SCAN_FACTOR_K_MAX = 10 ** 4
-
 
 @dataclass(frozen=True)
 class SearchRow:
+    """The measured values of one period; log2q, ratio and flags follow."""
+
     T: int
     p: int
     ord_T_2: int | None  # only when T is prime
     q: int | None  # smallest known prime factor of 2^T - 1
-    log2q: int | None
-    ratio: Fraction  # phi(p-1)/p = (T+1)/p
     mersenne: bool
-    flags: frozenset[str]
     q_source: str | None = None  # "discovered" or "verified"
+
+    @property
+    def log2q(self) -> int | None:
+        return None if self.q is None else self.q.bit_length() - 1
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.T + 1, self.p)  # phi(p-1)/p
+
+    @property
+    def flags(self) -> frozenset[str]:
+        """The three undesirable-feature flags, compared exactly."""
+        flags = set()
+        if self.q is not None and 10 * self.log2q < self.T:
+            flags.add(FLAG_SMALL_LOG2Q)
+        if self.ord_T_2 is not None and 4 * self.ord_T_2 < self.T:
+            flags.add(FLAG_SMALL_ORD)
+        if self.ratio >= Fraction(1, 3):
+            flags.add(FLAG_LARGE_RATIO)
+        return frozenset(flags)
 
 
 @dataclass(frozen=True)
@@ -57,7 +75,8 @@ def _expected_tables() -> dict:
 
 
 def default_p_cap(T: int) -> int:
-    """Search ceiling for the largest p with a given period; configurable."""
+    """Search ceiling for the largest p with a given period;
+    largest_p_for_T(p_cap=...) overrides it."""
     return int(10 * T * math.log(T))
 
 
@@ -71,7 +90,10 @@ def _phi_sieve(limit: int) -> list[int]:
 
 
 def largest_p_for_T(T: int, p_cap: int | None = None) -> int | None:
-    """Largest prime p <= p_cap with phi(p-1) = T + 1, by descending scan."""
+    """Largest prime p <= p_cap with phi(p-1) = T + 1, by descending scan.
+
+    Called by the tests and by perfbench/traced_cli.py, which rebinds it by
+    name; the tables use _largest_p over one shared sieve."""
     if T < 3 or T % 2 == 0:
         raise ValueError(f"T must be odd and >= 3, got {T}")
     if p_cap is None:
@@ -87,18 +109,6 @@ def _largest_p(T: int, p_cap: int, phi: list[int]) -> int | None:
     return None
 
 
-def flag_row(row: SearchRow) -> SearchRow:
-    """Attach the three undesirable-feature flags, compared exactly."""
-    flags = set()
-    if row.log2q is not None and 10 * row.log2q < row.T:
-        flags.add(FLAG_SMALL_LOG2Q)
-    if row.ord_T_2 is not None and 4 * row.ord_T_2 < row.T:
-        flags.add(FLAG_SMALL_ORD)
-    if row.ratio >= Fraction(1, 3):
-        flags.add(FLAG_LARGE_RATIO)
-    return replace(row, flags=frozenset(flags))
-
-
 def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRow:
     """Full quality row for one prime p, factor hunt within budget."""
     T = euler_phi(p - 1) - 1
@@ -107,18 +117,14 @@ def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRo
     if is_prime(T):
         ord_t = multiplicative_order(2, T)
         mersenne, q = mersenne_status(T, factor_k_max)
-    row = SearchRow(
+    return SearchRow(
         T=T,
         p=p,
         ord_T_2=ord_t,
         q=q,
-        log2q=None if q is None else q.bit_length() - 1,
-        ratio=Fraction(T + 1, p),
         mersenne=mersenne,
-        flags=frozenset(),
         q_source=None if q is None else "discovered",
     )
-    return flag_row(row)
 
 
 def _diff_fixture(
@@ -141,10 +147,7 @@ def _diff_fixture(
             continue
         row = build_row(p, factor_k_max)
         if row.q is None and "q" in exp and verify_mersenne_factor(T, exp["q"]):
-            q = exp["q"]
-            row = flag_row(
-                replace(row, q=q, log2q=q.bit_length() - 1, q_source="verified")
-            )
+            row = replace(row, q=exp["q"], q_source="verified")
         want = {**exp, "ratio": Fraction(exp["ratio"]), "mersenne": table == "table1"}
         got = {
             "ord": row.ord_T_2,
@@ -204,14 +207,14 @@ def scan(
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
     primes = [p for p in range(p_min | 1, p_max + 1, 2) if is_prime(p)]
-    budgets = [criteria.factor_k_max] * len(primes)
+    row_of = partial(build_row, factor_k_max=criteria.factor_k_max)
     if criteria.workers > 1:
-        rows = _pool_rows(primes, budgets, criteria.workers)
+        rows = _pool_rows(row_of, primes, criteria.workers)
     else:
-        rows = map(build_row, primes, budgets)
+        rows = map(row_of, primes)
     return filter(partial(_passes, criteria), rows)
 
 
-def _pool_rows(primes: list[int], budgets: list[int], workers: int) -> Iterator[SearchRow]:
+def _pool_rows(row_of: Callable, primes: list[int], workers: int) -> Iterator[SearchRow]:
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(build_row, primes, budgets, chunksize=16)
+        yield from pool.map(row_of, primes, chunksize=16)

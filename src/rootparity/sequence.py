@@ -136,17 +136,16 @@ def block_count(p: int, epsilons: list[int]) -> int:
     return _window_counts(is_root[1:], s)[tuple(int(e == 1) for e in epsilons)]
 
 
-def cz_bound_check(p: int, epsilons: list[int], tau: int | None = None) -> CzCheck:
+def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     """Check |M - p eta^z (1-eta)^(s-z)| <= 2^(s-z+1) s sqrt(p) log(p) tau^s.
 
-    Uses the natural logarithm and the exact block count; tau defaults to
-    the divisor count of p - 1.
+    Uses the natural logarithm, the exact block count and tau, the divisor
+    count of p - 1.
     """
     m = block_count(p, epsilons)
     s = len(epsilons)
     z = sum(1 for e in epsilons if e == 1)
-    if tau is None:
-        tau = factorize(p - 1).divisor_count
+    tau = factorize(p - 1).divisor_count
     eta = len(primitive_roots(p)) / p
     main_term = p * eta ** z * (1 - eta) ** (s - z)
     bound = 2 ** (s - z + 1) * s * math.sqrt(p) * math.log(p) * tau ** s

@@ -166,10 +166,9 @@ def test_criterion_6_two_adic_lower_bounds():
 def test_criterion_7_cz_bound_sweep():
     violations = 0
     for p in PRIMES_2000:
-        tau = factorize(p - 1).divisor_count
         for s in (1, 2, 3):
             for eps in product((1, -1), repeat=s):
-                if not cz_bound_check(p, list(eps), tau=tau).holds:
+                if not cz_bound_check(p, list(eps)).holds:
                     violations += 1
     report(7, violations == 0, f"{violations} violations")
 

@@ -94,7 +94,7 @@ def test_classify_typical():
 
 
 def test_classify_generic():
-    assert classify_eta(Fraction(1, 5), tol=0.05).regime == "generic"
+    assert classify_eta(Fraction(1, 5)).regime == "generic"
 
 
 def test_classify_rejects_out_of_range():

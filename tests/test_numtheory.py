@@ -73,6 +73,20 @@ class TestFactorize:
         assert factorize(178).factors == ((2, 1), (89, 1))
         assert factorize(178).divisor_count == 4
 
+    @pytest.mark.parametrize("factors", [
+        ((9973, 1),),  # largest trial prime
+        ((99999989, 1),),  # largest prime below 10^8: no trial factor, no rho
+        ((100000007, 1),),  # smallest prime above 10^8
+        ((9973, 1), (10007, 1)),
+        ((10007, 2),),  # smallest cofactor that trial division cannot split
+        ((3, 1), (10007, 1), (10009, 1)),
+    ])
+    def test_cofactors_around_the_trial_bound(self, factors):
+        n = 1
+        for p, e in factors:
+            n *= p ** e
+        assert factorize(n).factors == factors
+
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             factorize(1)

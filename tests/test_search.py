@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from rootparity.search import (
     SearchRow,
     build_row,
     default_p_cap,
-    flag_row,
     largest_p_for_T,
     reproduce_table1,
     reproduce_table2,
@@ -59,37 +59,41 @@ class TestLargestP:
 
 
 def make_row(T, p, ord_t=None, q=None):
-    return SearchRow(
-        T=T,
-        p=p,
-        ord_T_2=ord_t,
-        q=q,
-        log2q=q.bit_length() - 1 if q else None,
-        ratio=Fraction(T + 1, p),
-        mersenne=False,
-        flags=frozenset(),
-    )
+    return SearchRow(T=T, p=p, ord_T_2=ord_t, q=q, mersenne=False)
 
 
 class TestFlagRow:
     def test_t131(self):
-        row = flag_row(make_row(131, 269, ord_t=130, q=263))
+        row = make_row(131, 269, ord_t=130, q=263)
         assert row.flags == {FLAG_SMALL_LOG2Q, FLAG_LARGE_RATIO}
 
     def test_t127(self):
-        row = flag_row(make_row(127, 409, ord_t=7))
+        row = make_row(127, 409, ord_t=7)
         assert row.flags == {FLAG_SMALL_ORD}
 
     def test_t107_clean(self):
-        row = flag_row(make_row(107, 379, ord_t=106))
+        row = make_row(107, 379, ord_t=106)
         assert row.flags == frozenset()
 
     def test_ratio_threshold_is_exact(self):
         # 2204/6619 = 0.3329... sits just below 1/3
-        row = flag_row(make_row(2203, 6619, ord_t=734))
+        row = make_row(2203, 6619, ord_t=734)
         assert FLAG_LARGE_RATIO not in row.flags
-        row = flag_row(make_row(3, 11))  # 4/11 > 1/3
+        row = make_row(3, 11)  # 4/11 > 1/3
         assert FLAG_LARGE_RATIO in row.flags
+
+    def test_replacing_q_updates_log2q_and_flags(self):
+        row = make_row(107, 379, ord_t=106)
+        assert (row.log2q, row.flags) == (None, frozenset())
+        row = replace(row, q=2 ** 9 + 1, q_source="verified")  # 10 * 9 < 107
+        assert row.log2q == 9
+        assert row.flags == {FLAG_SMALL_LOG2Q}
+        assert row.ratio == Fraction(108, 379)
+
+    @pytest.mark.parametrize("derived", ["log2q", "ratio", "flags"])
+    def test_derived_values_are_not_arguments(self, derived):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            SearchRow(T=107, p=379, ord_T_2=106, q=None, mersenne=False, **{derived: None})
 
 
 class TestTables:
@@ -191,7 +195,8 @@ class TestScan:
     def test_rows_are_built_as_they_are_asked_for(self, monkeypatch):
         built = []
         real = search.build_row
-        monkeypatch.setattr(search, "build_row", lambda p, k: built.append(p) or real(p, k))
+        monkeypatch.setattr(search, "build_row",
+                            lambda p, factor_k_max: built.append(p) or real(p, factor_k_max))
         rows = scan(11, 100)
         assert built == []
         assert next(rows).p == 11

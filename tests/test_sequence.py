@@ -211,6 +211,3 @@ class TestCzBound:
         chk = cz_bound_check(11, [1, 1])
         assert chk.m == 2
         assert chk.holds
-
-    def test_explicit_tau(self):
-        assert cz_bound_check(13, [1], tau=6).holds
