@@ -12,14 +12,13 @@ inconsistency.
 import argparse
 import csv
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
 from . import bounds, complexity, search, sequence
-from .numtheory import is_prime
+from .numtheory import DEFAULT_FACTOR_K_MAX, DEFAULT_SCAN_FACTOR_K_MAX, is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,6 +227,8 @@ def _czcheck_csv(doc: dict) -> list:
 
 
 def _cmd_czcheck(args, out):
+    if not 1 <= args.s_max < args.p:
+        raise ValueError(f"s_max must lie in [1, {args.p - 1}], got {args.s_max}")
     docs = []
     for s in range(1, args.s_max + 1):
         for eps in product((1, -1), repeat=s):
@@ -282,11 +283,6 @@ def _p_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rootparity")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=["text", "json-lines", "csv"],
                        default="text")
-
-    default_k_max = _env_int("ROOTPARITY_FACTOR_K_MAX", search.DEFAULT_FACTOR_K_MAX)
-    default_workers = _env_int("ROOTPARITY_WORKERS", 1)
 
     gen = sub.add_parser("generate", help="emit one period of the sequence")
     gen.add_argument("--p", type=int, required=True)
@@ -308,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = ana.add_mutually_exclusive_group(required=True)
     grp.add_argument("--p", type=int)
     grp.add_argument("--p-range", type=_p_range)
-    ana.add_argument("--factor-k-max", type=int, default=default_k_max)
+    ana.add_argument("--factor-k-max", type=int, default=DEFAULT_FACTOR_K_MAX)
     add_format(ana)
     ana.set_defaults(func=_cmd_analyze)
 
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("tables", help="regenerate the reference tables")
     tab.add_argument("--which", type=int, choices=[1, 2], required=True)
-    tab.add_argument("--factor-k-max", type=int, default=default_k_max)
+    tab.add_argument("--factor-k-max", type=int, default=DEFAULT_FACTOR_K_MAX)
     add_format(tab)
     tab.set_defaults(func=_cmd_tables)
 
@@ -336,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--t-prime", action="store_true")
     sc.add_argument("--no-flags", action="store_true")
     sc.add_argument("--two-primitive-root", action="store_true")
-    sc.add_argument("--factor-k-max", type=int,
-                    default=search.DEFAULT_SCAN_FACTOR_K_MAX)
-    sc.add_argument("--workers", type=int, default=default_workers)
+    sc.add_argument("--factor-k-max", type=int, default=DEFAULT_SCAN_FACTOR_K_MAX)
+    sc.add_argument("--workers", type=int, default=1)
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)
 

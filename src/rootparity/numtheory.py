@@ -178,15 +178,16 @@ def primitive_roots(p: int) -> tuple[int, ...]:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     pm1_primes = factorize(p - 1).primes()
     g = _find_generator(p, pm1_primes)
-    roots = []
+    # g^k is a primitive root iff no prime factor of p - 1 divides k.
+    coprime = bytearray(b"\1") * (p - 1)
+    for q in pm1_primes:
+        coprime[::q] = bytes((p - 1) // q)
+    is_root = bytearray(p)
     acc = 1
-    pm1 = p - 1
-    for k in range(1, pm1):
+    for k_coprime in coprime:  # acc = g^k meets every residue 1..p-1 once
+        is_root[acc] = k_coprime
         acc = acc * g % p
-        if gcd(k, pm1) == 1:
-            roots.append(acc)
-    roots.sort()
-    return tuple(roots)
+    return tuple(compress(range(p), is_root))
 
 
 # Exponents T of the Mersenne primes 2^T - 1 with T <= _MERSENNE_TABLE_BOUND.

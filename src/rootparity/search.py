@@ -14,6 +14,7 @@ from functools import partial
 from importlib import resources
 from typing import Callable, Iterator
 
+from .complexity import c_lower_bound
 from .numtheory import (
     DEFAULT_FACTOR_K_MAX,
     DEFAULT_SCAN_FACTOR_K_MAX,
@@ -42,7 +43,7 @@ class SearchRow:
 
     @property
     def log2q(self) -> int | None:
-        return None if self.q is None else self.q.bit_length() - 1
+        return None if self.q is None else c_lower_bound(self.q)
 
     @property
     def ratio(self) -> Fraction:

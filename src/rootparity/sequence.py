@@ -117,6 +117,15 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
     )
 
 
+# czcheck asks for all 2^s vectors of one s in turn; a histogram has <= p - s keys.
+@lru_cache(maxsize=1)
+def _block_windows(p: int, s: int) -> Counter:
+    is_root = bytearray(p)  # indexed by residue: is_root[1:] is c(1..p-1)
+    for g in primitive_roots(p):
+        is_root[g] = 1
+    return _window_counts(is_root[1:], s)
+
+
 def block_count(p: int, epsilons: list[int]) -> int:
     """Count j = 1..p-s where the primitive-root indicator matches epsilons.
 
@@ -130,10 +139,7 @@ def block_count(p: int, epsilons: list[int]) -> int:
         raise ValueError(f"block length {s} must be < p = {p}")
     if any(e not in (1, -1) for e in epsilons):
         raise ValueError("epsilons entries must be +1 or -1")
-    is_root = bytearray(p)
-    for g in primitive_roots(p):
-        is_root[g] = 1
-    return _window_counts(is_root[1:], s)[tuple(int(e == 1) for e in epsilons)]
+    return _block_windows(p, s)[tuple(int(e == 1) for e in epsilons)]
 
 
 def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:

@@ -111,6 +111,25 @@ class TestCzCheck:
         assert [r[2] for r in rows[1:3]] == ["4", "8"]
         assert all(r[0] == "13" and r[5] == "True" for r in rows[1:])
 
+    @pytest.mark.parametrize("s_max", ["0", "13"])
+    def test_s_max_outside_1_to_p_minus_1_fails_before_any_check(
+        self, s_max, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli.sequence, "cz_bound_check",
+                            lambda p, eps: calls.append(eps))
+        argv = ["czcheck", "--p", "13", "--s-max", s_max, "--format", "csv"]
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        assert calls == []
+        assert "s_max must lie in [1, 12]" in capsys.readouterr().err
+
+    def test_ignores_the_removed_environment_overrides(self, monkeypatch):
+        expected = run(["czcheck", "--p", "13"])
+        monkeypatch.setenv("ROOTPARITY_FACTOR_K_MAX", "abc")
+        monkeypatch.setenv("ROOTPARITY_WORKERS", "-3")
+        assert run(["czcheck", "--p", "13"]) == expected
+        assert expected[0] == cli.EXIT_OK
+
     def test_violation_exits_3_after_every_record(self, monkeypatch):
         from rootparity.sequence import CzCheck
 

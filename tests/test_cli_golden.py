@@ -15,7 +15,6 @@ varies between Python versions.
 import hashlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,6 @@ from rootparity import cli
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 FORMATS = ("text", "json-lines", "csv")
-ENV_OVERRIDES = ("ROOTPARITY_FACTOR_K_MAX", "ROOTPARITY_WORKERS")
 
 EVERY_FORMAT = [
     "generate --p 13",
@@ -82,12 +80,6 @@ def record() -> dict:
 GOLDEN = json.loads(DATA.read_text())
 
 
-@pytest.fixture(autouse=True)
-def _default_environment(monkeypatch):
-    for name in ENV_OVERRIDES:
-        monkeypatch.delenv(name, raising=False)
-
-
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command):
     code, digest = run(command)
@@ -98,7 +90,5 @@ def test_golden_output(command):
 
 
 if __name__ == "__main__":
-    for name in ENV_OVERRIDES:
-        os.environ.pop(name, None)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(record(), indent=1) + "\n")

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,18 @@ def brute_order(a, m):
 
 def brute_primitive_roots(p):
     return [g for g in range(1, p) if brute_order(g, p) == p - 1]
+
+
+def gcd_sort_primitive_roots(p):
+    """g^k for every k coprime to p - 1, by one gcd per k, then sorted."""
+    exps = [(p - 1) // q for q in factorize(p - 1).primes()]
+    g = next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in exps))
+    roots, acc = [], 1
+    for k in range(1, p - 1):
+        acc = acc * g % p
+        if gcd(k, p - 1) == 1:
+            roots.append(acc)
+    return tuple(sorted(roots))
 
 
 class TestIsPrime:
@@ -129,8 +142,6 @@ class TestEulerPhi:
         assert euler_phi(18) == 6
 
     def test_against_gcd_count(self):
-        from math import gcd
-
         for n in range(1, 300):
             assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -177,6 +188,12 @@ class TestPrimitiveRoots:
         for p in range(3, 500):
             if is_prime(p):
                 assert list(primitive_roots(p)) == brute_primitive_roots(p)
+
+    def test_matches_the_gcd_and_sort_oracle(self):
+        # 2311 - 1 = 2*3*5*7*11; 300017 and 999983 are large
+        primes = [p for p in range(3, 3000) if is_prime(p)] + [2311, 300017, 999983]
+        for p in primes:
+            assert primitive_roots(p) == gcd_sort_primitive_roots(p)
 
     def test_count_is_phi_of_p_minus_1(self):
         for p in range(3, 10000):

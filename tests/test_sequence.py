@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,8 +6,10 @@ from itertools import product
 
 import pytest
 
+from rootparity import cli, sequence
 from rootparity.numtheory import is_prime, primitive_roots
 from rootparity.sequence import (
+    _block_windows,
     _window_counts,
     balance,
     block_count,
@@ -42,7 +45,7 @@ class TestBuildContext:
                 build_context(bad)
 
     def test_cache_is_bounded_and_evicts_the_oldest(self):
-        for cached in (build_context, primitive_roots):
+        for cached in (build_context, primitive_roots, _block_windows):
             size = cached.cache_info().maxsize
             assert size is not None and size <= 8
         build_context.cache_clear()
@@ -198,6 +201,18 @@ class TestBlockCount:
                         if all(c[j + i] == eps[i] for i in range(s))
                     )
                     assert block_count(p, list(eps)) == expect
+
+    def test_czcheck_walks_the_indicator_once_per_block_length(self, monkeypatch):
+        calls = []
+
+        def counted(bits, ell):
+            calls.append(ell)
+            return _window_counts(bits, ell)
+
+        _block_windows.cache_clear()
+        monkeypatch.setattr(sequence, "_window_counts", counted)
+        assert cli.run(["czcheck", "--p", "103", "--s-max", "3"], out=io.StringIO()) == 0
+        assert calls == [1, 2, 3]
 
 
 class TestCzBound:
