@@ -273,6 +273,20 @@ def _cmd_scan(args, out):
     return EXIT_OK
 
 
+def _prime_p(text: str) -> int:
+    p = int(text)
+    if p < 11 or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"must be a prime >= 11, got {p}")
+    return p
+
+
+def _factor_k_max(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def _p_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp = ana.add_mutually_exclusive_group(required=True)
     grp.add_argument("--p", type=int)
     grp.add_argument("--p-range", type=_p_range)
-    ana.add_argument("--factor-k-max", type=int, default=DEFAULT_FACTOR_K_MAX)
+    ana.add_argument("--factor-k-max", type=_factor_k_max, default=DEFAULT_FACTOR_K_MAX)
     add_format(ana)
     ana.set_defaults(func=_cmd_analyze)
 
@@ -312,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     pat.set_defaults(func=_cmd_patterns)
 
     cz = sub.add_parser("czcheck", help="block-statistic bound check")
-    cz.add_argument("--p", type=int, required=True)
+    cz.add_argument("--p", type=_prime_p, required=True)
     cz.add_argument("--s-max", type=int, default=3)
     add_format(cz)
     cz.set_defaults(func=_cmd_czcheck)
 
     tab = sub.add_parser("tables", help="regenerate the reference tables")
     tab.add_argument("--which", type=int, choices=[1, 2], required=True)
-    tab.add_argument("--factor-k-max", type=int, default=DEFAULT_FACTOR_K_MAX)
+    tab.add_argument("--factor-k-max", type=_factor_k_max, default=DEFAULT_FACTOR_K_MAX)
     add_format(tab)
     tab.set_defaults(func=_cmd_tables)
 
@@ -329,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--t-prime", action="store_true")
     sc.add_argument("--no-flags", action="store_true")
     sc.add_argument("--two-primitive-root", action="store_true")
-    sc.add_argument("--factor-k-max", type=int, default=DEFAULT_SCAN_FACTOR_K_MAX)
+    sc.add_argument("--factor-k-max", type=_factor_k_max,
+                    default=DEFAULT_SCAN_FACTOR_K_MAX)
     sc.add_argument("--workers", type=int, default=1)
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)

@@ -1,8 +1,12 @@
 """Exact linear and 2-adic complexity with the corresponding lower bounds.
 
-Linear complexity is computed twice, by polynomial gcd over GF(2) and by
-Berlekamp-Massey, and the two must agree.  Polynomials over GF(2) are
-bit-packed into Python integers (bit i = coefficient of X^i).
+Linear complexity is computed twice, by gcd(X^T - 1, S(X)) over one period
+and by Berlekamp-Massey over 2T terms, and the two must agree.  BM runs in
+Euclid form (Dornstetter 1987): both are remainder sequences through
+_gf2_mod.  For prime T a third check, independent of _gf2_mod, asserts
+T - L = [S(1) = 0] (mod ord_T(2)) from the cyclotomic factors of X^T - 1.
+Polynomials over GF(2) are bit-packed into Python integers (bit i =
+coefficient of X^i).
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .sequence import BitSequence, PrimeContext, build_s_sequence
 
 
 class InconsistencyError(RuntimeError):
-    """The two independent linear-complexity algorithms disagreed."""
+    """The linear-complexity checks disagreed."""
 
 
 @dataclass(frozen=True)
@@ -73,22 +77,19 @@ def linear_complexity_gcd(seq: BitSequence) -> int:
 
 
 def linear_complexity_bm(seq: BitSequence) -> int:
-    """Berlekamp-Massey over 2T terms of the periodically repeated sequence."""
-    bits = seq.bits * 2
-    C = B = 1  # connection polynomials, bit i = coefficient of X^i
-    L = 0
-    m = -1
-    rev = 0  # bit i = s_{n-i}, so the discrepancy is popcount(C & rev) mod 2
-    for n, bit in enumerate(bits):
-        rev = (rev << 1) | bit
-        if (C & rev).bit_count() & 1:
-            if 2 * L <= n:
-                C, B = C ^ (B << (n - m)), C
-                L = n + 1 - L
-                m = n
-            else:
-                C ^= B << (n - m)
-    return L
+    """Berlekamp-Massey on 2T terms, as Euclid (Dornstetter 1987).
+
+    With N = 2T and s* = sum s_j X^(N-1-j), an LFSR of length l is a pair
+    t s* = r (mod X^N) with deg r < deg t = l. As 2L - 1 < N, the shortest
+    is the first Euclid pair of (X^N, s*) with deg r_(k-1) + deg r_k < N,
+    and deg t_k = N - deg r_(k-1) = L. A zero remainder has degree -inf.
+    """
+    T, N = seq.period, 2 * seq.period
+    r = int("".join(map(str, seq.bits)), 2)  # bit T-1-j = s_j
+    a, b = 1 << N, (r << T) | r
+    while b and a.bit_length() + b.bit_length() - 2 >= N:
+        a, b = b, _gf2_mod(a, b)
+    return N + 1 - a.bit_length()
 
 
 def s_one(seq: BitSequence) -> int:
@@ -145,10 +146,19 @@ def full_report(
         raise InconsistencyError(
             f"linear complexity mismatch for p={ctx.p}: bm={l_bm} gcd={l_gcd}"
         )
+    s1 = s_one(seq)
+    t_prime = is_prime(ctx.T)
+    # X^T - 1 = (X + 1) Phi_T, and Phi_T splits into irreducibles of degree
+    # d = ord_T(2), so T - L = deg gcd(X^T - 1, S) = [S(1) = 0] (mod d)
+    if t_prime and (ctx.T - l_gcd) % multiplicative_order(2, ctx.T) != 1 - s1:
+        raise InconsistencyError(
+            f"linear complexity {l_gcd} for p={ctx.p} breaks T - L = [S(1) = 0] "
+            f"(mod ord_T(2)) at T={ctx.T}"
+        )
     eps = epsilon_of(ctx.p)
     two_adic = two_adic_complexity(seq)
     c_lower: int | None = None
-    if is_prime(ctx.T):
+    if t_prime:
         mersenne, q = mersenne_status(ctx.T, factor_budget)
         if mersenne:
             c_lower = ctx.T - 1
@@ -157,7 +167,7 @@ def full_report(
     return ComplexityReport(
         T=ctx.T,
         L=l_gcd,
-        s1=s_one(seq),
+        s1=s1,
         epsilon=eps,
         L_lower=lc_lower_bound(factorize(ctx.T), eps),
         S2=two_adic.S2,

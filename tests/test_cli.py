@@ -84,6 +84,16 @@ class TestAnalyze:
         assert run(["analyze", "--p", "43"]) == (cli.EXIT_INCONSISTENT, "")
         assert "internal inconsistency" in capsys.readouterr().err
 
+    def test_bm_and_gcd_agreeing_on_a_wrong_l_exit_3(self, monkeypatch, capsys):
+        # p = 43: T = 11 is prime, ord_11(2) = 10, so L - 1 fails the
+        # cyclotomic check T - L = [S(1) = 0] (mod 10)
+        seq = sequence.build_s_sequence(sequence.build_context(43))
+        wrong = complexity.linear_complexity_gcd(seq) - 1
+        for name in ("linear_complexity_bm", "linear_complexity_gcd"):
+            monkeypatch.setattr(complexity, name, lambda seq: wrong)
+        assert run(["analyze", "--p", "43"]) == (cli.EXIT_INCONSISTENT, "")
+        assert "(mod ord_T(2)) at T=11" in capsys.readouterr().err
+
 
 class TestPatterns:
     def test_p13_ell2(self):
@@ -122,6 +132,16 @@ class TestCzCheck:
         assert run(argv) == (cli.EXIT_USAGE, "")
         assert calls == []
         assert "s_max must lie in [1, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["-5", "9", "7", "15"])
+    def test_p_must_be_a_prime_of_at_least_11(self, p, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.sequence, "cz_bound_check",
+                            lambda p, eps: calls.append(eps))
+        assert run(["czcheck", "--p", p, "--s-max", "3"]) == (cli.EXIT_USAGE, "")
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "--p" in err and f"got {p}" in err
 
     def test_ignores_the_removed_environment_overrides(self, monkeypatch):
         expected = run(["czcheck", "--p", "13"])
@@ -230,3 +250,18 @@ class TestUsageErrors:
     def test_bad_range(self):
         code, _ = run(["analyze", "--p-range", "100..11"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--p", "43"],
+        ["tables", "--which", "2"],
+        ["scan", "--p-min", "11", "--p-max", "30"],
+    ])
+    def test_negative_factor_budget(self, argv, capsys):
+        assert run(argv + ["--factor-k-max", "-5"]) == (cli.EXIT_USAGE, "")
+        assert "--factor-k-max" in capsys.readouterr().err
+
+    def test_zero_factor_budget_is_allowed(self):
+        code, text = run(["analyze", "--p", "43", "--factor-k-max", "0",
+                          "--format", "json-lines"])
+        assert code == cli.EXIT_OK
+        assert json.loads(text)["C_lower"] is None

@@ -17,12 +17,30 @@ from rootparity.complexity import (
     s_one,
     two_adic_complexity,
 )
-from rootparity.numtheory import factorize
+from rootparity.numtheory import factorize, is_prime, multiplicative_order
 from rootparity.sequence import BitSequence, build_context, build_s_sequence
 
 
 def bitseq(bits):
     return BitSequence(bits=tuple(bits), period=len(bits))
+
+
+def reference_bm(bits):
+    """Bit-serial Berlekamp-Massey over 2T terms of the repeated sequence."""
+    C = B = 1  # connection polynomials, bit i = coefficient of X^i
+    L = 0
+    m = -1
+    rev = 0  # bit i = s_{n-i}, so the discrepancy is popcount(C & rev) mod 2
+    for n, bit in enumerate(tuple(bits) * 2):
+        rev = (rev << 1) | bit
+        if (C & rev).bit_count() & 1:
+            if 2 * L <= n:
+                C, B = C ^ (B << (n - m)), C
+                L = n + 1 - L
+                m = n
+            else:
+                C ^= B << (n - m)
+    return L
 
 
 class TestLinearComplexityGcd:
@@ -56,6 +74,39 @@ class TestLinearComplexityBm:
     def test_matches_gcd_property(self, bits):
         seq = bitseq(bits)
         assert linear_complexity_bm(seq) == linear_complexity_gcd(seq)
+
+
+class TestEuclidBmAgainstBitSerialBm:
+    def test_every_sequence_of_period_up_to_12(self):
+        for t in range(1, 13):
+            for bits in product((0, 1), repeat=t):
+                assert linear_complexity_bm(bitseq(bits)) == reference_bm(bits), bits
+
+    def test_random_periods_up_to_400(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            bits = [rng.randint(0, 1) for _ in range(rng.randrange(1, 401))]
+            assert linear_complexity_bm(bitseq(bits)) == reference_bm(bits), bits
+
+    def test_parity_sequences_of_every_prime_below_3000(self):
+        for p in range(11, 3000):
+            if is_prime(p):
+                seq = build_s_sequence(build_context(p))
+                assert linear_complexity_bm(seq) == reference_bm(seq.bits), p
+
+    def test_parity_sequence_at_t_19199(self):
+        seq = build_s_sequence(build_context(50021))
+        assert linear_complexity_bm(seq) == reference_bm(seq.bits)
+
+
+class TestCyclotomicIdentity:
+    @pytest.mark.parametrize("t", [3, 5, 7, 11])
+    def test_every_sequence_of_prime_period(self, t):
+        # T - L = deg gcd(X^T - 1, S) = [S(1) = 0] (mod ord_T(2))
+        d = multiplicative_order(2, t)
+        for bits in product((0, 1), repeat=t):
+            seq = bitseq(bits)
+            assert (t - linear_complexity_gcd(seq)) % d == 1 - s_one(seq), bits
 
 
 class TestSOne:
