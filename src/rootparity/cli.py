@@ -27,6 +27,10 @@ EXIT_INCONSISTENT = 3
 
 _JSON_INT_MAX = 2 ** 53
 
+# Upper bound on scan --workers: a fixed cap, so that the accepted values do
+# not depend on the machine.
+MAX_WORKERS = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -275,8 +279,13 @@ def _cmd_scan(args, out):
 
 def _prime_p(text: str) -> int:
     p = int(text)
-    if p < 11 or not is_prime(p):
-        raise argparse.ArgumentTypeError(f"must be a prime >= 11, got {p}")
+    try:
+        prime = is_prime(p)
+    except ValueError:  # p >= psi_12, where is_prime proves nothing
+        prime = False
+    if p < 11 or not prime:
+        raise argparse.ArgumentTypeError(
+            f"must be a prime >= 11 below psi_12 ~ 3.19e23, got {p}")
     return p
 
 
@@ -285,6 +294,13 @@ def _factor_k_max(text: str) -> int:
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
     return k
+
+
+def _workers(text: str) -> int:
+    w = int(text)
+    if not 1 <= w <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}], got {w}")
+    return w
 
 
 def _p_range(text: str) -> tuple[int, int]:
@@ -306,21 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
 
     gen = sub.add_parser("generate", help="emit one period of the sequence")
-    gen.add_argument("--p", type=int, required=True)
+    gen.add_argument("--p", type=_prime_p, required=True)
     gen.add_argument("--variant", choices=["s", "t"], default="s")
     add_format(gen)
     gen.set_defaults(func=_cmd_generate)
 
     ana = sub.add_parser("analyze", help="balance + complexity report")
     grp = ana.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--p", type=int)
+    grp.add_argument("--p", type=_prime_p)
     grp.add_argument("--p-range", type=_p_range)
     ana.add_argument("--factor-k-max", type=_factor_k_max, default=DEFAULT_FACTOR_K_MAX)
     add_format(ana)
     ana.set_defaults(func=_cmd_analyze)
 
     pat = sub.add_parser("patterns", help="pattern distribution for one p")
-    pat.add_argument("--p", type=int, required=True)
+    pat.add_argument("--p", type=_prime_p, required=True)
     pat.add_argument("--ell", type=int, required=True)
     add_format(pat)
     pat.set_defaults(func=_cmd_patterns)
@@ -345,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--two-primitive-root", action="store_true")
     sc.add_argument("--factor-k-max", type=_factor_k_max,
                     default=DEFAULT_SCAN_FACTOR_K_MAX)
-    sc.add_argument("--workers", type=int, default=1)
+    sc.add_argument("--workers", type=_workers, default=1,
+                    help=f"worker processes, 1 to {MAX_WORKERS} (default 1)")
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)
 

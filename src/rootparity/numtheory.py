@@ -8,8 +8,8 @@ Mersenne-factor hunt.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from math import gcd
+from itertools import compress, islice
+from math import gcd, prod
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
 # psi_12 = 318665857834031151167461 ~ 3.19 * 10^23 (Sorenson-Webster 2015),
@@ -204,8 +204,11 @@ _MERSENNE_EXPONENTS = frozenset((
 ))
 
 # Candidates 2kT + 1 of the factor hunt are taken in blocks of this many k
-# and sieved by the odd primes below _SIEVE_LIMIT.
-_HUNT_BLOCK = 4096
+# and sieved by the odd primes below _SIEVE_LIMIT; the sieve's cost is
+# mostly a fixed ~170 slice assignments per block.  The survivors are tried
+# _HUNT_GROUP at a time by one pow over their product.
+_HUNT_BLOCK = 65536
+_HUNT_GROUP = 64
 _SIEVE_LIMIT = 1000
 
 
@@ -268,6 +271,15 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     never sieved out, and a composite candidate that divides has its prime
     factors among the smaller candidates.  Returns None if nothing divides
     within the budget.
+
+    The survivors are tried in ascending groups of 64 by one pow:
+    x = 2^T mod Q, Q the product of the group, so x = 2^T (mod q) for each
+    q in it.  gcd(x - 1, Q) > 1 exactly when some prime factor of 2^T - 1
+    divides a member; the group is then walked in ascending order and the
+    first q with x = 1 (mod q) is returned.  Every survivor below the group
+    has already failed, so that q is still the first survivor that divides,
+    hence the smallest prime factor.  The walk only tests what the gcd
+    suggests: if it finds nothing, the hunt goes on with the next group.
     """
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
@@ -286,10 +298,14 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
         for m, k0, first in drops:
             i = max(first - lo, (k0 - lo) % m)
             alive[i::m] = bytes(len(range(i, n, m)))
-        for k in compress(range(lo, lo + n), alive):
-            q = k * step + 1
-            if pow(2, T, q) == 1:
-                return q
+        ks = compress(range(lo, lo + n), alive)
+        while group := [k * step + 1 for k in islice(ks, _HUNT_GROUP)]:
+            Q = prod(group)
+            x = pow(2, T, Q)
+            if gcd(x - 1, Q) > 1:
+                for q in group:
+                    if x % q == 1:
+                        return q
     return None
 
 

@@ -260,6 +260,31 @@ class TestUsageErrors:
         assert run(argv + ["--factor-k-max", "-5"]) == (cli.EXIT_USAGE, "")
         assert "--factor-k-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["-5", "9", "7", str(4 * 10 ** 23)])
+    @pytest.mark.parametrize("argv", [
+        ["generate"], ["analyze"], ["patterns", "--ell", "2"], ["czcheck"],
+    ])
+    def test_p_must_be_a_prime_of_at_least_11_below_psi_12(
+        self, argv, p, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.sequence, "build_context",
+                            lambda p: pytest.fail("a context was built"))
+        assert run(argv + ["--p", p]) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert "argument --p" in err and f"got {p}" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3", str(cli.MAX_WORKERS + 1)])
+    def test_workers_outside_1_to_the_cap(self, workers, monkeypatch, capsys):
+        monkeypatch.setattr(cli.search, "scan", lambda *args: pytest.fail("scan ran"))
+        argv = ["scan", "--p-min", "11", "--p-max", "30", "--workers", workers]
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        assert "argument --workers" in capsys.readouterr().err
+
+    def test_workers_cap_is_accepted(self):
+        argv = ["scan", "--p-min", "11", "--p-max", "30",
+                "--workers", str(cli.MAX_WORKERS)]
+        assert cli.build_parser().parse_args(argv).workers == cli.MAX_WORKERS
+
     def test_zero_factor_budget_is_allowed(self):
         code, text = run(["analyze", "--p", "43", "--factor-k-max", "0",
                           "--format", "json-lines"])

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +42,22 @@ def gcd_sort_primitive_roots(p):
         if gcd(k, p - 1) == 1:
             roots.append(acc)
     return tuple(sorted(roots))
+
+
+def plain_hunt(t, k_max):
+    """The first q = 2kt + 1, k <= k_max, q = +-1 (mod 8), that divides 2^t - 1."""
+    return next((q for q in range(2 * t + 1, 2 * t * k_max + 2, 2 * t)
+                 if q % 8 in (1, 7) and pow(2, t, q) == 1), None)
+
+
+@pytest.fixture
+def small_hunt(monkeypatch):
+    """Blocks of 128 candidates and groups of 3 survivors, with a cold cache."""
+    monkeypatch.setattr(numtheory, "_HUNT_BLOCK", 128)
+    monkeypatch.setattr(numtheory, "_HUNT_GROUP", 3)
+    smallest_mersenne_factor.cache_clear()
+    yield
+    smallest_mersenne_factor.cache_clear()
 
 
 class TestIsPrime:
@@ -243,6 +259,30 @@ class TestMersenne:
             for k_max in (1, 7, 100, 10 ** 4):
                 want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
                 assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
+
+    def test_small_groups_and_blocks_match_the_plain_loop(self, small_hunt, monkeypatch):
+        # Every hit must land first, in the middle, last and alone in a group
+        # of 3, and in a group cut short by the end of a block or budget.
+        groups = []
+        monkeypatch.setattr(numtheory, "prod", lambda g: groups.append(g) or prod(g))
+        seen = set()
+        for t in range(3, 3000):
+            if not is_prime(t):
+                continue
+            q = plain_hunt(t, 10 ** 4)
+            for k_max in (1, 7, 100, 10 ** 4):
+                want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
+                assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
+                if want is not None:
+                    seen.add((groups[-1].index(want), len(groups[-1])))
+        assert {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)} <= seen
+
+    def test_group_walk_goes_on_past_a_false_hit(self, small_hunt, monkeypatch):
+        # With a gcd that reports a hit in every group, only the walk decides.
+        monkeypatch.setattr(numtheory, "gcd", lambda a, b: b)
+        for t in range(3, 3000):
+            if is_prime(t):
+                assert smallest_mersenne_factor(t, 100) == plain_hunt(t, 100), t
 
     def test_mersenne_period_is_not_hunted(self):
         assert smallest_mersenne_factor(3, 1) == 7  # 2^3 - 1 itself
