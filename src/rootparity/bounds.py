@@ -5,8 +5,8 @@ appears only in the advisory regime classifier.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # Expected phi(n)/n for even n; anchor for the "typical" regime label.
 TYPICAL_ETA = 4 / math.pi ** 2
@@ -14,8 +14,7 @@ TYPICAL_ETA = 4 / math.pi ** 2
 DEFAULT_CLASSIFY_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class EtaProfile:
+class EtaProfile(NamedTuple):
     eta: Fraction
     regime: str  # one of "large", "small", "typical", "generic"
 

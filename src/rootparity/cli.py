@@ -27,10 +27,6 @@ EXIT_INCONSISTENT = 3
 
 _JSON_INT_MAX = 2 ** 53
 
-# Upper bound on scan --workers: a fixed cap, so that the accepted values do
-# not depend on the machine.
-MAX_WORKERS = 64
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -231,7 +227,7 @@ def _czcheck_csv(doc: dict) -> list:
 
 
 def _cmd_czcheck(args, out):
-    if not 1 <= args.s_max < args.p:
+    if args.s_max >= args.p:
         raise ValueError(f"s_max must lie in [1, {args.p - 1}], got {args.s_max}")
     docs = []
     for s in range(1, args.s_max + 1):
@@ -277,8 +273,25 @@ def _cmd_scan(args, out):
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _at_least(lo: int):
+    """An argparse type for integers >= lo."""
+    def parse(text: str) -> int:
+        n = _int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return parse
+
+
 def _prime_p(text: str) -> int:
-    p = int(text)
+    p = _int(text)
     try:
         prime = is_prime(p)
     except ValueError:  # p >= psi_12, where is_prime proves nothing
@@ -289,17 +302,11 @@ def _prime_p(text: str) -> int:
     return p
 
 
-def _factor_k_max(text: str) -> int:
-    k = int(text)
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
-    return k
-
-
 def _workers(text: str) -> int:
-    w = int(text)
-    if not 1 <= w <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}], got {w}")
+    w = _int(text)
+    if not 1 <= w <= search.MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [1, {search.MAX_WORKERS}], got {w}")
     return w
 
 
@@ -307,7 +314,7 @@ def _p_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("range must look like 11..100")
-    lo, hi = int(lo), int(hi)
+    lo, hi = _int(lo), _int(hi)
     if hi < lo:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
@@ -331,25 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     grp = ana.add_mutually_exclusive_group(required=True)
     grp.add_argument("--p", type=_prime_p)
     grp.add_argument("--p-range", type=_p_range)
-    ana.add_argument("--factor-k-max", type=_factor_k_max, default=DEFAULT_FACTOR_K_MAX)
+    ana.add_argument("--factor-k-max", type=_at_least(0), default=DEFAULT_FACTOR_K_MAX)
     add_format(ana)
     ana.set_defaults(func=_cmd_analyze)
 
     pat = sub.add_parser("patterns", help="pattern distribution for one p")
     pat.add_argument("--p", type=_prime_p, required=True)
-    pat.add_argument("--ell", type=int, required=True)
+    pat.add_argument("--ell", type=_at_least(1), required=True)
     add_format(pat)
     pat.set_defaults(func=_cmd_patterns)
 
     cz = sub.add_parser("czcheck", help="block-statistic bound check")
     cz.add_argument("--p", type=_prime_p, required=True)
-    cz.add_argument("--s-max", type=int, default=3)
+    cz.add_argument("--s-max", type=_at_least(1), default=3)
     add_format(cz)
     cz.set_defaults(func=_cmd_czcheck)
 
     tab = sub.add_parser("tables", help="regenerate the reference tables")
     tab.add_argument("--which", type=int, choices=[1, 2], required=True)
-    tab.add_argument("--factor-k-max", type=_factor_k_max, default=DEFAULT_FACTOR_K_MAX)
+    tab.add_argument("--factor-k-max", type=_at_least(0), default=DEFAULT_FACTOR_K_MAX)
     add_format(tab)
     tab.set_defaults(func=_cmd_tables)
 
@@ -359,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--t-prime", action="store_true")
     sc.add_argument("--no-flags", action="store_true")
     sc.add_argument("--two-primitive-root", action="store_true")
-    sc.add_argument("--factor-k-max", type=_factor_k_max,
+    sc.add_argument("--factor-k-max", type=_at_least(0),
                     default=DEFAULT_SCAN_FACTOR_K_MAX)
     sc.add_argument("--workers", type=_workers, default=1,
-                    help=f"worker processes, 1 to {MAX_WORKERS} (default 1)")
+                    help=f"worker processes, 1 to {search.MAX_WORKERS} (default 1)")
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)
 

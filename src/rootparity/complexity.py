@@ -9,8 +9,8 @@ Polynomials over GF(2) are bit-packed into Python integers (bit i =
 coefficient of X^i).
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .numtheory import (
     DEFAULT_SCAN_FACTOR_K_MAX,
@@ -27,14 +27,12 @@ class InconsistencyError(RuntimeError):
     """The linear-complexity checks disagreed."""
 
 
-@dataclass(frozen=True)
-class TwoAdicResult:
+class TwoAdicResult(NamedTuple):
     S2: int
     C: int
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     T: int
     L: int
     s1: int

@@ -6,10 +6,10 @@ prime test (a table of known exponents, Lucas-Lehmer above it) and a sieved
 Mersenne-factor hunt.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd, prod
+from typing import NamedTuple
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
 # psi_12 = 318665857834031151167461 ~ 3.19 * 10^23 (Sorenson-Webster 2015),
@@ -22,8 +22,7 @@ _MR_BOUND = 318665857834031151167461
 _TRIAL_LIMIT = 10 ** 4
 
 
-@dataclass(frozen=True)
-class FactorizationInfo:
+class FactorizationInfo(NamedTuple):
     """Prime factorization n = p1^e1 * ... * pr^er with tau(n)."""
 
     n: int

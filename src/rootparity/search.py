@@ -7,12 +7,10 @@ prime ranges for candidates without undesirable features.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .complexity import c_lower_bound
 from .numtheory import (
@@ -29,9 +27,12 @@ FLAG_SMALL_LOG2Q = "SMALL_LOG2Q"
 FLAG_SMALL_ORD = "SMALL_ORD"
 FLAG_LARGE_RATIO = "LARGE_RATIO"
 
+# Upper bound on ScanCriteria.workers: a fixed cap, so that the accepted
+# values do not depend on the machine.
+MAX_WORKERS = 64
 
-@dataclass(frozen=True)
-class SearchRow:
+
+class SearchRow(NamedTuple):
     """The measured values of one period; log2q, ratio and flags follow."""
 
     T: int
@@ -62,8 +63,7 @@ class SearchRow:
         return frozenset(flags)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     T: int
     field: str
     expected: object
@@ -148,7 +148,7 @@ def _diff_fixture(
             continue
         row = build_row(p, factor_k_max)
         if row.q is None and "q" in exp and verify_mersenne_factor(T, exp["q"]):
-            row = replace(row, q=exp["q"], q_source="verified")
+            row = row._replace(q=exp["q"], q_source="verified")
         want = {**exp, "ratio": Fraction(exp["ratio"]), "mersenne": table == "table1"}
         got = {
             "ord": row.ord_T_2,
@@ -177,8 +177,7 @@ def reproduce_table2(
     return _diff_fixture("table2", factor_k_max)
 
 
-@dataclass(frozen=True)
-class ScanCriteria:
+class ScanCriteria(NamedTuple):
     require_t_prime: bool = False
     require_no_flags: bool = False
     require_two_primitive_root_mod_t: bool = False
@@ -207,6 +206,9 @@ def scan(
     """
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
+    if not 1 <= criteria.workers <= MAX_WORKERS:
+        raise ValueError(
+            f"workers must lie in [1, {MAX_WORKERS}], got {criteria.workers}")
     primes = [p for p in range(p_min | 1, p_max + 1, 2) if is_prime(p)]
     row_of = partial(build_row, factor_k_max=criteria.factor_k_max)
     if criteria.workers > 1:
@@ -217,5 +219,9 @@ def scan(
 
 
 def _pool_rows(row_of: Callable, primes: list[int], workers: int) -> Iterator[SearchRow]:
+    # imported here, so that a command without a pool does not load
+    # multiprocessing at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(row_of, primes, chunksize=16)

@@ -8,17 +8,16 @@ primitive roots differ by exactly 1.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
+from typing import NamedTuple
 
 from .bounds import predicted_balance_fracs, predicted_pattern_frac
 from .numtheory import factorize, is_prime, primitive_roots
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(NamedTuple):
     """A prime p with the derived quantities the analysis needs."""
 
     p: int
@@ -28,30 +27,26 @@ class PrimeContext:
     roots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BitSequence:
+class BitSequence(NamedTuple):
     bits: tuple[int, ...]
     period: int
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     n0: int
     n1: int
     predicted_frac1: Fraction
     predicted_frac0: Fraction
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(NamedTuple):
     ell: int
     counts: dict[str, int]
     weight_counts: dict[int, int]
     predicted: dict[int, Fraction]  # per-pattern main-term fraction by weight
 
 
-@dataclass(frozen=True)
-class CzCheck:
+class CzCheck(NamedTuple):
     m: int
     main_term: float
     bound: float

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from rootparity import cli, complexity, sequence
+from rootparity import cli, complexity, search, sequence
 from rootparity.search import scan
 
 
@@ -103,6 +107,13 @@ class TestPatterns:
         doc = json.loads(text)
         assert doc["counts"] == {"00": 0, "01": 1, "10": 1, "11": 0}
 
+    @pytest.mark.parametrize("ell", ["0", "-2"])
+    def test_ell_below_1_fails_at_the_parser(self, ell, monkeypatch, capsys):
+        monkeypatch.setattr(cli.sequence, "build_context",
+                            lambda p: pytest.fail("a context was built"))
+        assert run(["patterns", "--p", "13", "--ell", ell]) == (cli.EXIT_USAGE, "")
+        assert f"argument --ell: must be >= 1, got {ell}" in capsys.readouterr().err
+
 
 class TestCzCheck:
     def test_p13(self):
@@ -131,7 +142,9 @@ class TestCzCheck:
         argv = ["czcheck", "--p", "13", "--s-max", s_max, "--format", "csv"]
         assert run(argv) == (cli.EXIT_USAGE, "")
         assert calls == []
-        assert "s_max must lie in [1, 12]" in capsys.readouterr().err
+        expected = {"0": "argument --s-max: must be >= 1, got 0",
+                    "13": "s_max must lie in [1, 12], got 13"}
+        assert expected[s_max] in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", ["-5", "9", "7", "15"])
     def test_p_must_be_a_prime_of_at_least_11(self, p, monkeypatch, capsys):
@@ -273,7 +286,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --p" in err and f"got {p}" in err
 
-    @pytest.mark.parametrize("workers", ["0", "-3", str(cli.MAX_WORKERS + 1)])
+    @pytest.mark.parametrize("workers", ["0", "-3", str(search.MAX_WORKERS + 1)])
     def test_workers_outside_1_to_the_cap(self, workers, monkeypatch, capsys):
         monkeypatch.setattr(cli.search, "scan", lambda *args: pytest.fail("scan ran"))
         argv = ["scan", "--p-min", "11", "--p-max", "30", "--workers", workers]
@@ -282,11 +295,39 @@ class TestUsageErrors:
 
     def test_workers_cap_is_accepted(self):
         argv = ["scan", "--p-min", "11", "--p-max", "30",
-                "--workers", str(cli.MAX_WORKERS)]
-        assert cli.build_parser().parse_args(argv).workers == cli.MAX_WORKERS
+                "--workers", str(search.MAX_WORKERS)]
+        assert cli.build_parser().parse_args(argv).workers == search.MAX_WORKERS
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["generate", "--p", "abc"], "--p", "abc"),
+        (["analyze", "--p", "43", "--factor-k-max", "1e3"], "--factor-k-max", "1e3"),
+        (["scan", "--p-min", "11", "--p-max", "30", "--workers", "two"],
+         "--workers", "two"),
+        (["analyze", "--p-range", "a..b"], "--p-range", "a"),
+    ])
+    def test_non_integer_names_the_option_and_the_value(
+        self, argv, option, value, capsys
+    ):
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be an integer, got {value!r}" in err
+        assert "invalid" not in err
 
     def test_zero_factor_budget_is_allowed(self):
         code, text = run(["analyze", "--p", "43", "--factor-k-max", "0",
                           "--format", "json-lines"])
         assert code == cli.EXIT_OK
         assert json.loads(text)["C_lower"] is None
+
+
+def test_import_loads_no_worker_pool_or_dataclasses():
+    # every command pays for its imports at start-up; only scan --workers > 1
+    # needs the pool
+    code = ("import sys, rootparity.cli; rootparity.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'dataclasses')))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,7 +84,7 @@ class TestFlagRow:
     def test_replacing_q_updates_log2q_and_flags(self):
         row = make_row(107, 379, ord_t=106)
         assert (row.log2q, row.flags) == (None, frozenset())
-        row = replace(row, q=2 ** 9 + 1, q_source="verified")  # 10 * 9 < 107
+        row = row._replace(q=2 ** 9 + 1, q_source="verified")  # 10 * 9 < 107
         assert row.log2q == 9
         assert row.flags == {FLAG_SMALL_LOG2Q}
         assert row.ratio == Fraction(108, 379)
@@ -191,6 +190,11 @@ class TestScan:
             scan(5, 100)
         with pytest.raises(ValueError):
             scan(5, 100, ScanCriteria(workers=2))
+
+    @pytest.mark.parametrize("workers", [-3, 0, search.MAX_WORKERS + 1])
+    def test_rejects_workers_outside_1_to_the_cap(self, workers):
+        with pytest.raises(ValueError, match=f"workers must lie in .*got {workers}"):
+            scan(11, 60, ScanCriteria(workers=workers))
 
     def test_rows_are_built_as_they_are_asked_for(self, monkeypatch):
         built = []
