@@ -6,7 +6,7 @@ decimal strings) and csv (fixed header, ratios as 6-place decimals plus
 an exact num/den column).
 
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
-inconsistency.
+inconsistency or any other fault after the arguments were accepted.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import bounds, complexity, search, sequence
-from .numtheory import DEFAULT_FACTOR_K_MAX, DEFAULT_SCAN_FACTOR_K_MAX, is_prime
+from .numtheory import DEFAULT_FACTOR_K_MAX, DEFAULT_SCAN_FACTOR_K_MAX, PSI_12, is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,6 +26,15 @@ EXIT_DISCREPANCY = 2
 EXIT_INCONSISTENT = 3
 
 _JSON_INT_MAX = 2 ** 53
+
+# Each cap keeps a command at no more than 2^16 records, all held before
+# printing: 2^ell patterns, or 2^(s_max + 1) - 2 sign vectors.
+MAX_ELL = 16
+MAX_S_MAX = 15
+
+
+class _UsageError(Exception):
+    """A bad argument that only the command can see, since it depends on p."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +135,7 @@ def _cmd_generate(args, out):
         "regime": bounds.classify_eta(ctx.eta).regime,
         "variant": args.variant,
         # index-ascending; bit n carries weight 2^n in S(2)
-        "bits": "".join(map(str, build(ctx).bits)),
+        "bits": build(ctx).bits,
     }
     _emit(out, args.format, [doc], _kv_text, list(doc))
     return EXIT_OK
@@ -167,7 +176,7 @@ def _cmd_analyze(args, out):
         primes = [args.p]
     else:
         lo, hi = args.p_range
-        primes = [p for p in range(max(lo, 11), hi + 1) if is_prime(p)]
+        primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     docs = (_analyze_doc(p, args.factor_k_max) for p in primes)
     _emit(out, args.format, docs, lambda doc: _kv_text(doc) + "\n",
           ANALYZE_CSV_HEADER, _analyze_csv)
@@ -194,7 +203,10 @@ def _patterns_text(doc: dict) -> str:
 def _cmd_patterns(args, out):
     ctx = sequence.build_context(args.p)
     seq = sequence.build_s_sequence(ctx)
-    rep = sequence.pattern_stats(seq, ctx, args.ell)
+    try:
+        rep = sequence.pattern_stats(seq, ctx, args.ell)
+    except ValueError as e:  # ell > T
+        raise _UsageError(e) from None
     doc = {
         "p": ctx.p,
         "T": ctx.T,
@@ -228,7 +240,7 @@ def _czcheck_csv(doc: dict) -> list:
 
 def _cmd_czcheck(args, out):
     if args.s_max >= args.p:
-        raise ValueError(f"s_max must lie in [1, {args.p - 1}], got {args.s_max}")
+        raise _UsageError(f"s_max must lie in [1, {args.p - 1}], got {args.s_max}")
     docs = []
     for s in range(1, args.s_max + 1):
         for eps in product((1, -1), repeat=s):
@@ -280,41 +292,41 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
-def _at_least(lo: int):
-    """An argparse type for integers >= lo."""
+def _at_least(lo: int, cap: int | None = None):
+    """An argparse type for integers >= lo and, given a cap, <= cap."""
     def parse(text: str) -> int:
         n = _int(text)
         if n < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        if cap is not None and n > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {n}")
         return n
     return parse
 
 
 def _prime_p(text: str) -> int:
     p = _int(text)
-    try:
-        prime = is_prime(p)
-    except ValueError:  # p >= psi_12, where is_prime proves nothing
-        prime = False
-    if p < 11 or not prime:
+    if not 11 <= p < PSI_12 or not is_prime(p):
         raise argparse.ArgumentTypeError(
             f"must be a prime >= 11 below psi_12 ~ 3.19e23, got {p}")
     return p
 
 
-def _workers(text: str) -> int:
-    w = _int(text)
-    if not 1 <= w <= search.MAX_WORKERS:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [1, {search.MAX_WORKERS}], got {w}")
-    return w
+def _range_end(text: str) -> int:
+    """The upper end of a prime range: below psi_12, where is_prime stops."""
+    n = _int(text)
+    if n >= PSI_12:
+        raise argparse.ArgumentTypeError(f"must be below psi_12 ~ 3.19e23, got {n}")
+    return n
 
 
 def _p_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("range must look like 11..100")
-    lo, hi = _int(lo), _int(hi)
+    lo, hi = _int(lo), _range_end(hi)
+    if lo < 11:
+        raise argparse.ArgumentTypeError(f"lower end must be >= 11, got {lo}")
     if hi < lo:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
@@ -344,13 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sub.add_parser("patterns", help="pattern distribution for one p")
     pat.add_argument("--p", type=_prime_p, required=True)
-    pat.add_argument("--ell", type=_at_least(1), required=True)
+    pat.add_argument("--ell", type=_at_least(1, MAX_ELL), required=True,
+                     help=f"window length, 1 to {MAX_ELL} and at most T; all "
+                     f"2^ell patterns are held and printed, at most 2^{MAX_ELL}")
     add_format(pat)
     pat.set_defaults(func=_cmd_patterns)
 
     cz = sub.add_parser("czcheck", help="block-statistic bound check")
     cz.add_argument("--p", type=_prime_p, required=True)
-    cz.add_argument("--s-max", type=_at_least(1), default=3)
+    cz.add_argument("--s-max", type=_at_least(1, MAX_S_MAX), default=3,
+                    help=f"longest block, 1 to {MAX_S_MAX} and below p (default "
+                    f"3); all 2^(s_max + 1) - 2 sign vectors are held and "
+                    f"printed, fewer than 2^{MAX_S_MAX + 1}")
     add_format(cz)
     cz.set_defaults(func=_cmd_czcheck)
 
@@ -361,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_tables)
 
     sc = sub.add_parser("scan", help="scan a prime range for candidates")
-    sc.add_argument("--p-min", type=int, required=True)
-    sc.add_argument("--p-max", type=int, required=True)
+    sc.add_argument("--p-min", type=_at_least(11), required=True)
+    sc.add_argument("--p-max", type=_range_end, required=True)
     sc.add_argument("--t-prime", action="store_true")
     sc.add_argument("--no-flags", action="store_true")
     sc.add_argument("--two-primitive-root", action="store_true")
     sc.add_argument("--factor-k-max", type=_at_least(0),
                     default=DEFAULT_SCAN_FACTOR_K_MAX)
-    sc.add_argument("--workers", type=_workers, default=1,
+    sc.add_argument("--workers", type=_at_least(1, search.MAX_WORKERS), default=1,
                     help=f"worker processes, 1 to {search.MAX_WORKERS} (default 1)")
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)
@@ -385,11 +402,14 @@ def run(argv=None, out=None) -> int:
         return e.code if e.code is not None else EXIT_OK
     try:
         return args.func(args, out)
-    except ValueError as e:
+    except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except complexity.InconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except Exception as e:  # a fault, not the user's input: say so in one line
+        print(f"internal error in {args.command}: {e!r}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
 

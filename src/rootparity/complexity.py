@@ -59,9 +59,9 @@ def _gf2_gcd(a: int, b: int) -> int:
 
 
 def _pack(seq: BitSequence) -> int:
-    """The bits as one integer with bit n = s_n: S(X) over GF(2) and S(2).
+    """S(X) over GF(2) and S(2): the text reversed, so bit n = s_n = bits[n].
     One base-2 parse is linear in T; base 2 has no int/str digit limit."""
-    return int("".join(map(str, reversed(seq.bits))), 2)
+    return int(seq.bits[::-1], 2)
 
 
 def linear_complexity_gcd(seq: BitSequence) -> int:
@@ -83,7 +83,7 @@ def linear_complexity_bm(seq: BitSequence) -> int:
     and deg t_k = N - deg r_(k-1) = L. A zero remainder has degree -inf.
     """
     T, N = seq.period, 2 * seq.period
-    r = int("".join(map(str, seq.bits)), 2)  # bit T-1-j = s_j
+    r = int(seq.bits, 2)  # bit T-1-j = s_j
     a, b = 1 << N, (r << T) | r
     while b and a.bit_length() + b.bit_length() - 2 >= N:
         a, b = b, _gf2_mod(a, b)
@@ -92,7 +92,7 @@ def linear_complexity_bm(seq: BitSequence) -> int:
 
 def s_one(seq: BitSequence) -> int:
     """The generating polynomial evaluated at 1 over GF(2)."""
-    return sum(seq.bits) & 1
+    return seq.bits.count("1") & 1
 
 
 def epsilon_of(p: int) -> int:

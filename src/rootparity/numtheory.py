@@ -15,7 +15,7 @@ from typing import NamedTuple
 # psi_12 = 318665857834031151167461 ~ 3.19 * 10^23 (Sorenson-Webster 2015),
 # which covers 64-bit inputs; psi_12 itself is a strong pseudoprime to them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
+PSI_12 = 318665857834031151167461
 
 # Trial-division ceiling before switching to Brent's rho.  10^4 keeps the
 # worst case (large prime cofactor) under a millisecond; rho covers the rest.
@@ -36,8 +36,8 @@ class FactorizationInfo(NamedTuple):
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n < psi_12;
     ValueError from psi_12 up, where the witnesses prove nothing."""
-    if n >= _MR_BOUND:
-        raise ValueError(f"is_prime is proven only below {_MR_BOUND}, got {n}")
+    if n >= PSI_12:
+        raise ValueError(f"is_prime is proven only below {PSI_12}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

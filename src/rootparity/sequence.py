@@ -28,7 +28,9 @@ class PrimeContext(NamedTuple):
 
 
 class BitSequence(NamedTuple):
-    bits: tuple[int, ...]
+    """One period of a binary sequence as "0"/"1" text: bits[n] is s_n."""
+
+    bits: str
     period: int
 
 
@@ -68,20 +70,20 @@ def build_context(p: int) -> PrimeContext:
 def build_s_sequence(ctx: PrimeContext) -> BitSequence:
     """Parities of sums of consecutive primitive roots."""
     r = ctx.roots
-    bits = tuple((r[n] + r[n + 1]) & 1 for n in range(ctx.T))
+    bits = "".join("01"[(r[n] + r[n + 1]) & 1] for n in range(ctx.T))
     return BitSequence(bits=bits, period=ctx.T)
 
 
 def build_t_sequence(ctx: PrimeContext) -> BitSequence:
     """Indicator of consecutive primitive roots at distance exactly 1."""
     r = ctx.roots
-    bits = tuple(1 if r[n + 1] == r[n] + 1 else 0 for n in range(ctx.T))
+    bits = "".join("01"[r[n + 1] == r[n] + 1] for n in range(ctx.T))
     return BitSequence(bits=bits, period=ctx.T)
 
 
 def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
     """Exact zero/one counts with the predicted main-term fractions."""
-    n1 = sum(seq.bits)
+    n1 = seq.bits.count("1")
     frac1, frac0 = predicted_balance_fracs(ctx.eta)
     return BalanceReport(
         n0=seq.period - n1, n1=n1, predicted_frac1=frac1, predicted_frac0=frac0
@@ -102,7 +104,7 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
     if not 1 <= ell <= seq.period:
         raise ValueError(f"ell must lie in [1, {seq.period}], got {ell}")
     windows = _window_counts(seq.bits, ell)
-    counts = {"".join(map(str, pat)): windows[pat] for pat in product((0, 1), repeat=ell)}
+    counts = {"".join(pat): windows[pat] for pat in product("01", repeat=ell)}
     weight_counts = {w: 0 for w in range(ell + 1)}
     for pat, c in counts.items():
         weight_counts[pat.count("1")] += c

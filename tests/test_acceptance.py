@@ -107,7 +107,7 @@ def test_criterion_4_lc_oracle_equivalence():
     rng = random.Random(987654321)
     for _ in range(500):
         t = rng.randrange(1, 128) * 2 + 1  # odd period <= 255
-        bits = tuple(rng.randint(0, 1) for _ in range(t))
+        bits = "".join(str(rng.randint(0, 1)) for _ in range(t))
         seq = BitSequence(bits=bits, period=t)
         if linear_complexity_bm(seq) != linear_complexity_gcd(seq):
             mismatches += 1
@@ -145,7 +145,7 @@ def test_criterion_6_two_adic_maximality(T):
     seq = build_s_sequence(build_context(p))
     C = two_adic_complexity(seq).C
     if T in CONSTANT_PERIODS:
-        report(6, seq.bits == (1,) * T and C == 0,
+        report(6, seq.bits == "1" * T and C == 0,
                f"T={T} p={p} constant sequence: C={C} expected 0")
     else:
         report(6, len(set(seq.bits)) == 2 and C == T - 1,
@@ -212,7 +212,7 @@ def test_criterion_9_pattern_convergence(big_primes):
 
 
 def test_criterion_10_degenerate_single_one():
-    seq = BitSequence(bits=(1,) + (0,) * 30, period=31)
+    seq = BitSequence(bits="1" + "0" * 30, period=31)
     L = linear_complexity_gcd(seq)
     C = two_adic_complexity(seq).C
     report(10, L == 31 and C == 30, f"L={L} C={C}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rootparity import cli, complexity, search, sequence
+from rootparity.numtheory import PSI_12
 from rootparity.search import scan
 
 
@@ -205,7 +206,7 @@ class TestScanCommand:
     def test_small_p_min_fails_before_the_csv_header(self, capsys):
         argv = ["scan", "--p-min", "5", "--p-max", "30", "--format", "csv"]
         assert run(argv) == (cli.EXIT_USAGE, "")
-        assert "p_min must be >= 11" in capsys.readouterr().err
+        assert "argument --p-min: must be >= 11, got 5" in capsys.readouterr().err
 
     def test_big_q_roundtrip(self):
         # a q beyond 2^53 must survive the string serialization
@@ -298,12 +299,52 @@ class TestUsageErrors:
                 "--workers", str(search.MAX_WORKERS)]
         assert cli.build_parser().parse_args(argv).workers == search.MAX_WORKERS
 
+    @pytest.mark.parametrize("argv, cap", [
+        (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
+        (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
+    ])
+    def test_ell_and_s_max_above_the_cap_fail_at_the_parser(
+        self, argv, cap, monkeypatch, capsys
+    ):
+        for name in ("build_context", "cz_bound_check"):
+            monkeypatch.setattr(cli.sequence, name,
+                                lambda *args: pytest.fail("the command ran"))
+        assert run(argv + [str(cap + 1)]) == (cli.EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be <= {cap}, got {cap + 1}" in err
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
+        (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
+    ])
+    def test_ell_and_s_max_caps_are_accepted(self, argv, cap):
+        args = cli.build_parser().parse_args(argv + [str(cap)])
+        assert (args.ell if argv[0] == "patterns" else args.s_max) == cap
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--p-range", "5..20"],
+         "argument --p-range: lower end must be >= 11, got 5"),
+        (["analyze", "--p-range", f"{PSI_12 - 2}..{PSI_12}"],
+         f"argument --p-range: must be below psi_12 ~ 3.19e23, got {PSI_12}"),
+        (["scan", "--p-min", "11", "--p-max", str(PSI_12)],
+         f"argument --p-max: must be below psi_12 ~ 3.19e23, got {PSI_12}"),
+    ])
+    def test_prime_range_outside_11_to_psi_12_fails_at_the_parser(
+        self, argv, message, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.sequence, "build_context",
+                            lambda p: pytest.fail("a context was built"))
+        monkeypatch.setattr(cli.search, "scan", lambda *args: pytest.fail("scan ran"))
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, option, value", [
         (["generate", "--p", "abc"], "--p", "abc"),
         (["analyze", "--p", "43", "--factor-k-max", "1e3"], "--factor-k-max", "1e3"),
         (["scan", "--p-min", "11", "--p-max", "30", "--workers", "two"],
          "--workers", "two"),
         (["analyze", "--p-range", "a..b"], "--p-range", "a"),
+        (["scan", "--p-min", "11", "--p-max", "x"], "--p-max", "x"),
     ])
     def test_non_integer_names_the_option_and_the_value(
         self, argv, option, value, capsys
@@ -318,6 +359,31 @@ class TestUsageErrors:
                           "--format", "json-lines"])
         assert code == cli.EXIT_OK
         assert json.loads(text)["C_lower"] is None
+
+
+class TestInternalFaults:
+    # only an argument the parser cannot check is a usage error
+    def test_value_error_inside_analyze_exits_3(self, monkeypatch, capsys):
+        def factorize(n):
+            raise ValueError("no factors today")
+
+        monkeypatch.setattr(cli.complexity, "factorize", factorize)
+        assert run(["analyze", "--p", "103"]) == (cli.EXIT_INCONSISTENT, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error in analyze: ValueError('no factors today')"]
+
+    def test_memory_error_inside_generate_exits_3(self, monkeypatch, capsys):
+        def build_context(p):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.sequence, "build_context", build_context)
+        assert run(["generate", "--p", "103"]) == (cli.EXIT_INCONSISTENT, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error in generate: MemoryError()"]
+
+    def test_ell_above_t_stays_a_usage_error(self, capsys):
+        assert run(["patterns", "--p", "13", "--ell", "4"]) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: ell must lie in [1, 3], got 4\n"
 
 
 def test_import_loads_no_worker_pool_or_dataclasses():

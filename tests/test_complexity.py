@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -22,7 +23,8 @@ from rootparity.sequence import BitSequence, build_context, build_s_sequence
 
 
 def bitseq(bits):
-    return BitSequence(bits=tuple(bits), period=len(bits))
+    """The 0/1 ints bits as a BitSequence, whose bits are "0"/"1" text."""
+    return BitSequence(bits="".join(map(str, bits)), period=len(bits))
 
 
 def reference_bm(bits):
@@ -92,11 +94,11 @@ class TestEuclidBmAgainstBitSerialBm:
         for p in range(11, 3000):
             if is_prime(p):
                 seq = build_s_sequence(build_context(p))
-                assert linear_complexity_bm(seq) == reference_bm(seq.bits), p
+                assert linear_complexity_bm(seq) == reference_bm(map(int, seq.bits)), p
 
     def test_parity_sequence_at_t_19199(self):
         seq = build_s_sequence(build_context(50021))
-        assert linear_complexity_bm(seq) == reference_bm(seq.bits)
+        assert linear_complexity_bm(seq) == reference_bm(map(int, seq.bits))
 
 
 class TestCyclotomicIdentity:
@@ -168,6 +170,21 @@ class TestTwoAdic:
         seq = bitseq([1] + [0] * 30)
         assert linear_complexity_gcd(seq) == 31
         assert two_adic_complexity(seq).C == 30
+
+
+@pytest.mark.parametrize(
+    "measure", [linear_complexity_gcd, linear_complexity_bm, two_adic_complexity])
+def test_peak_memory_is_under_8_bytes_per_bit_at_t_48803(measure):
+    # a tuple of ints costs 8 bytes per bit before any conversion; the text
+    # is parsed to one integer of T bits
+    seq = build_s_sequence(build_context(100019))
+    tracemalloc.start()
+    try:
+        measure(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * seq.period, f"{peak / seq.period:.2f} bytes per bit"
 
 
 class TestCLowerBound:

@@ -69,15 +69,15 @@ class TestBuildContext:
 
 class TestSequences:
     def test_s_examples(self):
-        assert build_s_sequence(build_context(13)).bits == (0, 1, 0)
-        assert build_s_sequence(build_context(11)).bits == (0, 1, 1)
+        assert build_s_sequence(build_context(13)).bits == "010"
+        assert build_s_sequence(build_context(11)).bits == "011"
         # p = 19: consecutive-root sums 5, 13, 23, 27, 29 are all odd
-        assert build_s_sequence(build_context(19)).bits == (1, 1, 1, 1, 1)
+        assert build_s_sequence(build_context(19)).bits == "11111"
 
     def test_t_examples(self):
-        assert build_t_sequence(build_context(13)).bits == (0, 1, 0)
-        assert build_t_sequence(build_context(11)).bits == (0, 1, 1)
-        assert build_t_sequence(build_context(19)).bits == (1, 0, 0, 1, 1)
+        assert build_t_sequence(build_context(13)).bits == "010"
+        assert build_t_sequence(build_context(11)).bits == "011"
+        assert build_t_sequence(build_context(19)).bits == "10011"
 
     def test_period_matches_context(self):
         for p in PRIMES_2000:
@@ -92,7 +92,7 @@ class TestSequences:
                 continue
             ctx = build_context(p)
             seq = build_s_sequence(ctx)
-            assert sum(seq.bits) % 2 == (ctx.roots[0] + ctx.roots[-1]) % 2
+            assert seq.bits.count("1") % 2 == (ctx.roots[0] + ctx.roots[-1]) % 2
 
 
 class TestBalance:
@@ -115,10 +115,13 @@ class TestWindowCounts:
         rng = random.Random(2021)
         for n in range(1, 41):
             for _ in range(3):
-                bits = tuple(rng.getrandbits(1) for _ in range(n))
+                bits = [rng.getrandbits(1) for _ in range(n)]
+                text = "".join(map(str, bits))
                 for ell in range(1, n + 1):
-                    naive = Counter(bits[i:i + ell] for i in range(n - ell + 1))
-                    assert _window_counts(bits, ell) == naive
+                    windows = range(n - ell + 1)
+                    naive = Counter(tuple(text[i:i + ell]) for i in windows)
+                    assert _window_counts(text, ell) == naive
+                    naive = Counter(tuple(bits[i:i + ell]) for i in windows)
                     assert _window_counts(bytearray(bits), ell) == naive
 
 
