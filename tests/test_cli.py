@@ -14,6 +14,13 @@ from rootparity.numtheory import PSI_12
 from rootparity.search import scan
 
 
+# the options with a fixed cap that does not depend on p
+CAPPED = [
+    (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
+    (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
+]
+
+
 def run(argv):
     out = io.StringIO()
     code = cli.run(argv, out=out)
@@ -299,10 +306,7 @@ class TestUsageErrors:
                 "--workers", str(search.MAX_WORKERS)]
         assert cli.build_parser().parse_args(argv).workers == search.MAX_WORKERS
 
-    @pytest.mark.parametrize("argv, cap", [
-        (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
-        (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
-    ])
+    @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_ell_and_s_max_above_the_cap_fail_at_the_parser(
         self, argv, cap, monkeypatch, capsys
     ):
@@ -313,10 +317,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument {argv[-1]}: must be <= {cap}, got {cap + 1}" in err
 
-    @pytest.mark.parametrize("argv, cap", [
-        (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
-        (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
-    ])
+    @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_ell_and_s_max_caps_are_accepted(self, argv, cap):
         args = cli.build_parser().parse_args(argv + [str(cap)])
         assert (args.ell if argv[0] == "patterns" else args.s_max) == cap
