@@ -117,7 +117,8 @@ def _row_csv(doc: dict) -> list:
     return [[
         doc["T"], doc["p"], doc["ord"], doc["q"], doc["log2q"],
         f"{float(Fraction(doc['ratio'])):.6f}", doc["ratio"],
-        int(doc["mersenne"]), "|".join(doc["flags"]), doc["q_source"],
+        None if doc["mersenne"] is None else int(doc["mersenne"]),
+        "|".join(doc["flags"]), doc["q_source"],
     ]]
 
 
@@ -306,14 +307,14 @@ def _at_least(lo: int, cap: int | None = None):
 
 def _prime_p(text: str) -> int:
     p = _int(text)
-    if not 11 <= p < PSI_12 or not is_prime(p):
+    if not 11 <= p <= sequence.MAX_P or not is_prime(p):
         raise argparse.ArgumentTypeError(
-            f"must be a prime >= 11 below psi_12 ~ 3.19e23, got {p}")
+            f"must be a prime in [11, {sequence.MAX_P}], got {p}")
     return p
 
 
 def _range_end(text: str) -> int:
-    """The upper end of a prime range: below psi_12, where is_prime stops."""
+    """The upper end of a scan: below psi_12, where is_prime stops."""
     n = _int(text)
     if n >= PSI_12:
         raise argparse.ArgumentTypeError(f"must be below psi_12 ~ 3.19e23, got {n}")
@@ -324,9 +325,12 @@ def _p_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("range must look like 11..100")
-    lo, hi = _int(lo), _range_end(hi)
+    lo, hi = _int(lo), _int(hi)
     if lo < 11:
         raise argparse.ArgumentTypeError(f"lower end must be >= 11, got {lo}")
+    if hi > sequence.MAX_P:
+        raise argparse.ArgumentTypeError(
+            f"upper end must be <= {sequence.MAX_P}, got {hi}")
     if hi < lo:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi

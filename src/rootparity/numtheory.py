@@ -2,7 +2,7 @@
 
 Deterministic primality, factorization (trial division + Brent's rho),
 totient, multiplicative order, primitive root enumeration, the Mersenne
-prime test (a table of known exponents, Lucas-Lehmer above it) and a sieved
+prime test (a table of known exponents, unknown above it) and a sieved
 Mersenne-factor hunt.
 """
 
@@ -229,30 +229,19 @@ DEFAULT_FACTOR_K_MAX = 10 ** 6
 DEFAULT_SCAN_FACTOR_K_MAX = 10 ** 4
 
 
-def _lucas_lehmer(T: int) -> bool:
-    """Lucas-Lehmer test of 2^T - 1 for prime T; O(T^2.6) with Python ints."""
-    if T == 2:
-        return True
-    n = (1 << T) - 1
-    s = 4
-    for _ in range(T - 2):
-        s = (s * s - 2) % n
-    return s == 0
-
-
-def is_mersenne_prime(T: int) -> bool:
+def is_mersenne_prime(T: int) -> bool | None:
     """Is 2^T - 1 prime?  T itself must be prime.
 
     Up to 43112609 (the 47th Mersenne prime exponent) the answer is a lookup
     in the embedded list of Mersenne prime exponents, which GIMPS has
-    verified to be complete up to there.  Above it the Lucas-Lehmer test
-    decides.
+    verified to be complete up to there.  Above it the answer is None,
+    unknown: no test that finishes at such T is run.
     """
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
     if T <= _MERSENNE_TABLE_BOUND:
         return T in _MERSENNE_EXPONENTS
-    return _lucas_lehmer(T)
+    return None
 
 
 # Many primes share a period: scan 11..7000 hunts 129 distinct T for 333
@@ -308,16 +297,20 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     return None
 
 
-def mersenne_status(T: int, k_max: int) -> tuple[bool, int | None]:
+def mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
     """(2^T - 1 is prime, its smallest prime factor within the hunt budget).
 
-    T must be prime.  A Mersenne prime is never hunted: its only prime
-    factor is 2^T - 1 itself (T = 3 would give q = 7), so it reads
-    (True, None).
+    T must be prime.  A Mersenne prime of the table is never hunted: its
+    only prime factor is 2^T - 1 itself (T = 3 would give q = 7), so it
+    reads (True, None).  Every other T is hunted, and a found factor gives
+    (False, q).  With no factor in the budget, a T the table rules out reads
+    (False, None), and a T above the table bound (None, None): undecided.
     """
-    if is_mersenne_prime(T):
+    mersenne = is_mersenne_prime(T)
+    if mersenne:
         return True, None
-    return False, smallest_mersenne_factor(T, k_max)
+    q = smallest_mersenne_factor(T, k_max)
+    return (mersenne if q is None else False), q
 
 
 def verify_mersenne_factor(T: int, q: int) -> bool:

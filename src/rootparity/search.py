@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .complexity import c_lower_bound
 from .numtheory import (
@@ -39,7 +39,7 @@ class SearchRow(NamedTuple):
     p: int
     ord_T_2: int | None  # only when T is prime
     q: int | None  # smallest known prime factor of 2^T - 1
-    mersenne: bool
+    mersenne: bool | None  # None: above the exponent table, no factor found
     q_source: str | None = None  # "discovered" or "verified"
 
     @property
@@ -203,13 +203,15 @@ def scan(
     Deterministic and order-stable: rows are emitted in ascending p even
     when the per-prime work is spread over multiple workers. The arguments
     are checked when scan is called, before the first row is asked for.
+    One worker tests the primes as the rows are asked for; a pool takes
+    every prime of the range before it returns its first row.
     """
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
     if not 1 <= criteria.workers <= MAX_WORKERS:
         raise ValueError(
             f"workers must lie in [1, {MAX_WORKERS}], got {criteria.workers}")
-    primes = [p for p in range(p_min | 1, p_max + 1, 2) if is_prime(p)]
+    primes = filter(is_prime, range(p_min | 1, p_max + 1, 2))
     row_of = partial(build_row, factor_k_max=criteria.factor_k_max)
     if criteria.workers > 1:
         rows = _pool_rows(row_of, primes, criteria.workers)
@@ -218,7 +220,7 @@ def scan(
     return filter(partial(_passes, criteria), rows)
 
 
-def _pool_rows(row_of: Callable, primes: list[int], workers: int) -> Iterator[SearchRow]:
+def _pool_rows(row_of: Callable, primes: Iterable[int], workers: int) -> Iterator[SearchRow]:
     # imported here, so that a command without a pool does not load
     # multiprocessing at start-up
     from concurrent.futures import ProcessPoolExecutor

@@ -14,7 +14,7 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .bounds import predicted_balance_fracs, predicted_pattern_frac
-from .numtheory import factorize, is_prime, primitive_roots
+from .numtheory import _MERSENNE_TABLE_BOUND, factorize, is_prime, primitive_roots
 
 
 class PrimeContext(NamedTuple):
@@ -55,13 +55,19 @@ class CzCheck(NamedTuple):
     holds: bool
 
 
+# The largest p with a context.  phi(p - 1) <= (p - 1)/2 gives
+# T <= (p - 3)/2, so up to MAX_P the exponent table decides whether 2^T - 1
+# is prime.
+MAX_P = 2 * _MERSENNE_TABLE_BOUND + 3
+
+
 # A command reuses only the context of its current p; at p ~ 10^6 one
 # context holds about 19 MB, so the cache keeps a handful.
 @lru_cache(maxsize=4)
 def build_context(p: int) -> PrimeContext:
-    """Validate p and assemble roots, phi, period and eta."""
-    if not is_prime(p) or p < 11:
-        raise ValueError(f"p must be a prime >= 11, got {p}")
+    """Check that p is a prime in [11, MAX_P]; assemble roots, phi, T and eta."""
+    if not 11 <= p <= MAX_P or not is_prime(p):
+        raise ValueError(f"p must be a prime in [11, {MAX_P}], got {p}")
     roots = primitive_roots(p)
     phi = len(roots)
     return PrimeContext(p=p, phi=phi, T=phi - 1, eta=Fraction(phi, p), roots=roots)

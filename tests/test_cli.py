@@ -281,7 +281,9 @@ class TestUsageErrors:
         assert run(argv + ["--factor-k-max", "-5"]) == (cli.EXIT_USAGE, "")
         assert "--factor-k-max" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p", ["-5", "9", "7", str(4 * 10 ** 23)])
+    # 86225233 is the first prime above sequence.MAX_P
+    @pytest.mark.parametrize("p", ["-5", "9", "7", str(4 * 10 ** 23), "1000000007",
+                                   "86225233"])
     @pytest.mark.parametrize("argv", [
         ["generate"], ["analyze"], ["patterns", "--ell", "2"], ["czcheck"],
     ])
@@ -326,9 +328,12 @@ class TestUsageErrors:
         (["analyze", "--p-range", "5..20"],
          "argument --p-range: lower end must be >= 11, got 5"),
         (["analyze", "--p-range", f"{PSI_12 - 2}..{PSI_12}"],
-         f"argument --p-range: must be below psi_12 ~ 3.19e23, got {PSI_12}"),
+         f"argument --p-range: upper end must be <= {sequence.MAX_P}, got {PSI_12}"),
         (["scan", "--p-min", "11", "--p-max", str(PSI_12)],
          f"argument --p-max: must be below psi_12 ~ 3.19e23, got {PSI_12}"),
+        (["analyze", "--p-range", f"11..{sequence.MAX_P + 1}"],
+         f"argument --p-range: upper end must be <= {sequence.MAX_P}, "
+         f"got {sequence.MAX_P + 1}"),
     ])
     def test_prime_range_outside_11_to_psi_12_fails_at_the_parser(
         self, argv, message, monkeypatch, capsys
@@ -387,14 +392,39 @@ class TestInternalFaults:
         assert capsys.readouterr().err == "error: ell must lie in [1, 3], got 4\n"
 
 
+def _python(*args):
+    """Run a new interpreter on the package under test, for at most 60 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_import_loads_no_worker_pool_or_dataclasses():
     # every command pays for its imports at start-up; only scan --workers > 1
     # needs the pool
     code = ("import sys, rootparity.cli; rootparity.cli.build_parser(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('concurrent', 'multiprocessing', 'dataclasses')))")
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    result = _python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv", "text"])
+def test_scan_above_the_exponent_table_ends_with_undecided_rows(fmt):
+    # p = 1000000033 has the prime period T = 330704639, above the exponent
+    # table, and 2^T - 1 has no factor within the scan budget
+    result = _python("-m", "rootparity.cli", "scan", "--p-min", "1000000000",
+                     "--p-max", "1000002000", "--format", fmt)
+    assert result.returncode == cli.EXIT_OK
+    lines = result.stdout.splitlines()
+    if fmt == "json-lines":
+        docs = [json.loads(line) for line in lines]
+        undecided = [doc["p"] for doc in docs if doc["mersenne"] is None]
+        assert len(docs) == 99 and len(undecided) == 7 and 1000000033 in undecided
+    elif fmt == "csv":
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 99
+        assert next(r for r in rows if r["p"] == "1000000033")["mersenne"] == ""
+    else:
+        assert len(lines) == 99
+        assert "mersenne=None" in next(line for line in lines if " p=1000000033 " in line)

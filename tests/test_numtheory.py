@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rootparity import numtheory
 from rootparity.numtheory import (
-    _lucas_lehmer,
     euler_phi,
     factorize,
     is_mersenne_prime,
@@ -42,6 +41,17 @@ def gcd_sort_primitive_roots(p):
         if gcd(k, p - 1) == 1:
             roots.append(acc)
     return tuple(sorted(roots))
+
+
+def _lucas_lehmer(t):
+    """Lucas-Lehmer test of 2^t - 1 for prime t: the exponent table's oracle."""
+    if t == 2:
+        return True
+    n = (1 << t) - 1
+    s = 4
+    for _ in range(t - 2):
+        s = (s * s - 2) % n
+    return s == 0
 
 
 def plain_hunt(t, k_max):
@@ -239,14 +249,12 @@ class TestMersenne:
             if is_prime(t):
                 assert is_mersenne_prime(t) == _lucas_lehmer(t), t
 
-    def test_lucas_lehmer_decides_above_the_table_bound(self, monkeypatch):
-        tested = []
+    def test_above_the_table_bound_only_a_found_factor_decides(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_MERSENNE_TABLE_BOUND", 100)
-        monkeypatch.setattr(
-            numtheory, "_lucas_lehmer", lambda t: tested.append(t) or _lucas_lehmer(t))
         assert [is_mersenne_prime(t) for t in (89, 107, 127, 131)] == [
-            True, True, True, False]
-        assert tested == [107, 127, 131]
+            True, None, None, None]
+        assert mersenne_status(131, 10 ** 4) == (False, 263)
+        assert mersenne_status(107, 10 ** 4) == (None, None)  # 2^107 - 1 is prime
 
     def test_sieved_hunt_matches_the_unsieved_loop(self):
         # The unsieved loop's first divisor within 10^4 candidates gives the

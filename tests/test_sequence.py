@@ -40,7 +40,7 @@ class TestBuildContext:
         assert ctx.eta == Fraction(8, 31)
 
     def test_rejects_small_or_composite(self):
-        for bad in (9, 7, 12, 1):
+        for bad in (9, 7, 12, 1, 86225233):  # the first prime above MAX_P
             with pytest.raises(ValueError):
                 build_context(bad)
 
