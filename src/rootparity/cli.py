@@ -412,13 +412,24 @@ def run(argv=None, out=None) -> int:
     except complexity.InconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except BrokenPipeError:
+        raise  # stdout is closed, not a fault: main() ends by SIGPIPE
     except Exception as e:  # a fault, not the user's input: say so in one line
         print(f"internal error in {args.command}: {e!r}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        raise SystemExit(run())
+    except BrokenPipeError:  # stdout is closed, as in `rootparity scan ... | head`
+        pass
+    # Out of the except clause, a worker pool has shut down; now end as `cat`
+    # does, killed by SIGPIPE with nothing on stderr (POSIX).
+    import signal
+
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    signal.raise_signal(signal.SIGPIPE)
 
 
 if __name__ == "__main__":

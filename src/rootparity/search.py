@@ -6,7 +6,6 @@ prime ranges for candidates without undesirable features.
 """
 
 import json
-import math
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -17,6 +16,7 @@ from .numtheory import (
     DEFAULT_FACTOR_K_MAX,
     DEFAULT_SCAN_FACTOR_K_MAX,
     euler_phi,
+    factorize,
     is_prime,
     mersenne_status,
     multiplicative_order,
@@ -75,39 +75,29 @@ def _expected_tables() -> dict:
     return json.loads(text.read_text())
 
 
-def default_p_cap(T: int) -> int:
-    """Search ceiling for the largest p with a given period;
-    largest_p_for_T(p_cap=...) overrides it."""
-    return int(10 * T * math.log(T))
-
-
-def _phi_sieve(limit: int) -> list[int]:
-    phi = list(range(limit + 1))
-    for i in range(2, limit + 1):
-        if phi[i] == i:  # i prime
-            for j in range(i, limit + 1, i):
-                phi[j] -= phi[j] // i
-    return phi
-
-
-def largest_p_for_T(T: int, p_cap: int | None = None) -> int | None:
-    """Largest prime p <= p_cap with phi(p-1) = T + 1, by descending scan.
-
-    Called by the tests and by perfbench/traced_cli.py, which rebinds it by
-    name; the tables use _largest_p over one shared sieve."""
+def largest_p_for_T(T: int) -> int | None:
+    """Largest prime p with phi(p-1) = T + 1, or None: the n with phi(n) = T + 1
+    are built from the primes q with q - 1 | T + 1, a finite set."""
     if T < 3 or T % 2 == 0:
         raise ValueError(f"T must be odd and >= 3, got {T}")
-    if p_cap is None:
-        p_cap = default_p_cap(T)
-    return _largest_p(T, p_cap, _phi_sieve(p_cap))
+    divisors = [1]
+    for q, e in factorize(T + 1).factors:
+        divisors = [d * q ** k for d in divisors for k in range(e + 1)]
+    primes = sorted((d + 1 for d in divisors if is_prime(d + 1)), reverse=True)
+    candidates = (n + 1 for n in _phi_preimages(T + 1, primes))
+    return max(filter(is_prime, candidates), default=None)
 
 
-def _largest_p(T: int, p_cap: int, phi: list[int]) -> int | None:
-    """largest_p_for_T over a phi sieve that reaches at least p_cap - 1."""
-    for p in range(p_cap if p_cap % 2 else p_cap - 1, 10, -2):
-        if phi[p - 1] == T + 1 and is_prime(p):
-            return p
-    return None
+def _phi_preimages(m: int, primes: list[int], n: int = 1) -> Iterator[int]:
+    """n * k for every k with phi(k) = m whose prime factors lie in primes,
+    a descending list; each prime is used at most once along a path."""
+    if m == 1:
+        yield n
+    for i, q in enumerate(primes):
+        phi_k, power = q - 1, q  # phi(q^k) and q^k, from k = 1
+        while m % phi_k == 0:
+            yield from _phi_preimages(m // phi_k, primes[i + 1:], n * power)
+            phi_k, power = phi_k * q, power * q
 
 
 def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRow:
@@ -133,15 +123,13 @@ def _diff_fixture(
 ) -> tuple[list[SearchRow], list[Discrepancy]]:
     """Build the row of each fixture period's largest p and diff the fields
     the fixture lists; rows of table1 must be Mersenne, rows of table2 not.
-    A factor beyond the budget is verified against the fixture value.  One
-    phi sieve, sized to the largest period's cap, serves every period."""
+    A factor beyond the budget is verified against the fixture value."""
     rows: list[SearchRow] = []
     issues: list[Discrepancy] = []
     fixture = _expected_tables()[table]
-    phi = _phi_sieve(max(default_p_cap(exp["T"]) for exp in fixture))
     for exp in fixture:
         T = exp["T"]
-        p = _largest_p(T, default_p_cap(T), phi)
+        p = largest_p_for_T(T)
         if p != exp["p"]:
             issues.append(Discrepancy(T, "p", exp["p"], p))
         if p is None:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -392,10 +393,13 @@ class TestInternalFaults:
         assert capsys.readouterr().err == "error: ell must lie in [1, 3], got 4\n"
 
 
+def _package_env():
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 def _python(*args):
     """Run a new interpreter on the package under test, for at most 60 s."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -428,3 +432,25 @@ def test_scan_above_the_exponent_table_ends_with_undecided_rows(fmt):
     else:
         assert len(lines) == 99
         assert "mersenne=None" in next(line for line in lines if " p=1000000033 " in line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--p", "999983"],
+    ["scan", "--p-min", "11", "--p-max", "300000", "--workers", "2"],
+])
+def test_closed_stdout_ends_the_command_by_sigpipe_without_a_message(argv):
+    # the output overruns the pipe buffer, so the command is still writing
+    # when the reader goes away, as under `| head -c 16`
+    proc = subprocess.Popen([sys.executable, "-m", "rootparity.cli", *argv],
+                            env=_package_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(16)) == 16
+    proc.stdout.close()
+    proc.stdout = None  # so that communicate() reads stderr alone
+    # stderr ends only when every process holding it has exited, pool
+    # workers included
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # nothing to do once the command has ended
+    assert (proc.returncode, stderr) == (-signal.SIGPIPE, b"")

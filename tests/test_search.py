@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from rootparity.search import (
     ScanCriteria,
     SearchRow,
     build_row,
-    default_p_cap,
     largest_p_for_T,
     reproduce_table1,
     reproduce_table2,
@@ -21,19 +21,44 @@ from rootparity.search import (
 )
 
 
+def _phi_sieve(limit):
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:  # i prime
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+def _capped_answers(periods):
+    """The former search, kept as the oracle: for each period T, the largest
+    prime p <= 10*T*ln T with phi(p-1) = T + 1, by a descending scan of one
+    phi sieve."""
+    cap = {T: int(10 * T * math.log(T)) for T in periods}
+    limit = max(cap.values())
+    phi = _phi_sieve(limit)
+    answers = dict.fromkeys(periods)
+    for p in range(limit if limit % 2 else limit - 1, 10, -2):
+        T = phi[p - 1] - 1
+        if T in answers and answers[T] is None and p <= cap[T] and is_prime(p):
+            answers[T] = p
+    return answers
+
+
 class TestLargestP:
     def test_examples(self):
-        assert largest_p_for_T(3, 10 ** 4) == 13
-        assert largest_p_for_T(107, 10 ** 4) == 379
-        assert largest_p_for_T(11, 10 ** 4) == 43
-
-    def test_default_cap(self):
         assert largest_p_for_T(3) == 13
+        assert largest_p_for_T(107) == 379
+        assert largest_p_for_T(11) == 43
         assert largest_p_for_T(19) == 67
 
     def test_absent(self):
-        assert largest_p_for_T(3, 10) is None
-        assert largest_p_for_T(3, 12) == 11  # phi(10) = 4
+        # 14 is not a totient
+        assert largest_p_for_T(13) is None
+        # phi(n) = 18 only for n in {19, 27, 38, 54}, and n + 1 is composite
+        # for each of them
+        assert [n for n in range(1, 1000) if euler_phi(n) == 18] == [19, 27, 38, 54]
+        assert largest_p_for_T(17) is None
 
     def test_rejects_even_or_tiny(self):
         with pytest.raises(ValueError):
@@ -41,20 +66,16 @@ class TestLargestP:
         with pytest.raises(ValueError):
             largest_p_for_T(1)
 
-    def test_fixture_periods_on_one_shared_sieve(self):
+    def test_agrees_with_the_capped_phi_sieve(self):
         fixture = search._expected_tables()
-        periods = [(exp["T"], exp["p"]) for exp in fixture["table1"] + fixture["table2"]]
-        phi = search._phi_sieve(max(default_p_cap(T) for T, _ in periods))
-        for T, p in periods:
-            assert largest_p_for_T(T) == search._largest_p(T, default_p_cap(T), phi) == p
-
-    @pytest.mark.parametrize("table", [reproduce_table1, reproduce_table2])
-    def test_one_phi_sieve_per_table(self, monkeypatch, table):
-        built = []
-        real = search._phi_sieve
-        monkeypatch.setattr(search, "_phi_sieve", lambda n: built.append(n) or real(n))
-        table()
-        assert len(built) == 1
+        expected = {exp["T"]: exp["p"] for exp in fixture["table1"] + fixture["table2"]}
+        periods = sorted(set(range(3, 2000, 2)) | expected.keys())
+        answers = {T: largest_p_for_T(T) for T in periods}
+        assert answers == _capped_answers(periods)
+        assert {T: answers[T] for T in expected} == expected
+        for T, p in answers.items():
+            if p is not None:
+                assert is_prime(p) and euler_phi(p - 1) == T + 1, T
 
 
 def make_row(T, p, ord_t=None, q=None):
@@ -121,10 +142,9 @@ class TestTables:
     def test_missing_p_is_a_discrepancy_without_a_row(self, monkeypatch):
         import rootparity.search as search
 
-        found = search._largest_p
+        found = search.largest_p_for_T
         monkeypatch.setattr(
-            search, "_largest_p",
-            lambda T, p_cap, phi: None if T == 7 else found(T, p_cap, phi))
+            search, "largest_p_for_T", lambda T: None if T == 7 else found(T))
         rows, issues = reproduce_table1()
         assert [r.T for r in rows] == [3, 5, 19, 31, 107, 127, 1279, 2203]
         assert [(d.T, d.field, d.expected, d.actual) for d in issues] == [
