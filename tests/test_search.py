@@ -52,6 +52,11 @@ class TestLargestP:
         assert largest_p_for_T(11) == 43
         assert largest_p_for_T(19) == 67
 
+    def test_default_cap(self):
+        # no cap is passed: the search over phi preimages needs none
+        assert largest_p_for_T(3) == 13
+        assert largest_p_for_T(19) == 67
+
     def test_absent(self):
         # 14 is not a totient
         assert largest_p_for_T(13) is None
