@@ -177,7 +177,7 @@ def _cmd_analyze(args, out):
         primes = [args.p]
     else:
         lo, hi = args.p_range
-        primes = [p for p in range(lo, hi + 1) if is_prime(p)]
+        primes = filter(is_prime, range(lo | 1, hi + 1, 2))  # lo >= 11
     docs = (_analyze_doc(p, args.factor_k_max) for p in primes)
     _emit(out, args.format, docs, lambda doc: _kv_text(doc) + "\n",
           ANALYZE_CSV_HEADER, _analyze_csv)
@@ -280,7 +280,6 @@ def _cmd_scan(args, out):
         require_no_flags=args.no_flags,
         require_two_primitive_root_mod_t=args.two_primitive_root,
         factor_k_max=args.factor_k_max,
-        workers=args.workers,
     )
     _emit_rows(out, args.format, search.scan(args.p_min, args.p_max, criteria))
     return EXIT_OK
@@ -389,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--two-primitive-root", action="store_true")
     sc.add_argument("--factor-k-max", type=_at_least(0),
                     default=DEFAULT_SCAN_FACTOR_K_MAX)
-    sc.add_argument("--workers", type=_at_least(1, search.MAX_WORKERS), default=1,
-                    help=f"worker processes, 1 to {search.MAX_WORKERS} (default 1)")
     add_format(sc)
     sc.set_defaults(func=_cmd_scan)
 
@@ -413,23 +410,19 @@ def run(argv=None, out=None) -> int:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except BrokenPipeError:
-        raise  # stdout is closed, not a fault: main() ends by SIGPIPE
+        raise  # a closed stdout is not a fault: left to an in-process caller
     except Exception as e:  # a fault, not the user's input: say so in one line
         print(f"internal error in {args.command}: {e!r}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
 
 def main() -> None:
-    try:
-        raise SystemExit(run())
-    except BrokenPipeError:  # stdout is closed, as in `rootparity scan ... | head`
-        pass
-    # Out of the except clause, a worker pool has shut down; now end as `cat`
-    # does, killed by SIGPIPE with nothing on stderr (POSIX).
+    # A write to a closed stdout, as in `rootparity scan ... | head`, ends the
+    # command as it ends `cat`: killed by SIGPIPE with nothing on stderr (POSIX).
     import signal
 
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    signal.raise_signal(signal.SIGPIPE)
+    raise SystemExit(run())
 
 
 if __name__ == "__main__":

@@ -40,8 +40,9 @@ class ComplexityReport(NamedTuple):
     L_lower: int  # the paper's bound; holds only for a non-constant sequence
     S2: int
     C: int
-    # The paper's bound, which holds only for a non-constant sequence;
-    # None means unknown within the factor budget
+    # The paper's bound, which holds only for a non-constant sequence; None
+    # for a composite T, which is never hunted (p = 41, T = 15), and for a
+    # prime T when no factor of 2^T - 1 is known within the factor budget
     C_lower: int | None
 
 
@@ -67,10 +68,7 @@ def _pack(seq: BitSequence) -> int:
 def linear_complexity_gcd(seq: BitSequence) -> int:
     """T - deg(gcd(X^T - 1, S(X))) over GF(2); the all-zero sequence gives 0."""
     T = seq.period
-    s_poly = _pack(seq)
-    if s_poly == 0:
-        return 0
-    g = _gf2_gcd((1 << T) | 1, s_poly)
+    g = _gf2_gcd((1 << T) | 1, _pack(seq))
     return T - (g.bit_length() - 1)
 
 
@@ -116,7 +114,7 @@ def two_adic_complexity(seq: BitSequence) -> TwoAdicResult:
     """
     s2 = _pack(seq)
     modulus = (1 << seq.period) - 1
-    d = gcd(modulus, s2) if s2 else modulus
+    d = gcd(modulus, s2)
     return TwoAdicResult(S2=s2, C=(modulus // d).bit_length() - 1)
 
 

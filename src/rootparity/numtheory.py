@@ -1,9 +1,10 @@
-"""Exact integer number theory for inputs up to 64 bits.
+"""Exact integer number theory, with primality proven below psi_12 ~ 3.19e23.
 
 Deterministic primality, factorization (trial division + Brent's rho),
 totient, multiplicative order, primitive root enumeration, the Mersenne
 prime test (a table of known exponents, unknown above it) and a sieved
-Mersenne-factor hunt.
+Mersenne-factor hunt. is_prime raises ValueError from psi_12 up, and so
+does every function that asks it about such a number.
 """
 
 from functools import lru_cache
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
 # psi_12 = 318665857834031151167461 ~ 3.19 * 10^23 (Sorenson-Webster 2015),
-# which covers 64-bit inputs; psi_12 itself is a strong pseudoprime to them.
+# and no further; psi_12 itself is a strong pseudoprime to them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PSI_12 = 318665857834031151167461
 

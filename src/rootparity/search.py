@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .complexity import c_lower_bound
 from .numtheory import (
@@ -26,10 +26,6 @@ from .numtheory import (
 FLAG_SMALL_LOG2Q = "SMALL_LOG2Q"
 FLAG_SMALL_ORD = "SMALL_ORD"
 FLAG_LARGE_RATIO = "LARGE_RATIO"
-
-# Upper bound on ScanCriteria.workers: a fixed cap, so that the accepted
-# values do not depend on the machine.
-MAX_WORKERS = 64
 
 
 class SearchRow(NamedTuple):
@@ -170,7 +166,6 @@ class ScanCriteria(NamedTuple):
     require_no_flags: bool = False
     require_two_primitive_root_mod_t: bool = False
     factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX
-    workers: int = 1
 
 
 def _passes(criteria: ScanCriteria, row: SearchRow) -> bool:
@@ -188,30 +183,12 @@ def scan(
 ) -> Iterator[SearchRow]:
     """Rows for every prime in [p_min, p_max] passing the criteria filter.
 
-    Deterministic and order-stable: rows are emitted in ascending p even
-    when the per-prime work is spread over multiple workers. The arguments
-    are checked when scan is called, before the first row is asked for.
-    One worker tests the primes as the rows are asked for; a pool takes
-    every prime of the range before it returns its first row.
+    Deterministic: rows come in ascending p, and each prime is tested when
+    its row is asked for. p_min is checked when scan is called, before the
+    first row is asked for.
     """
     if p_min < 11:
         raise ValueError(f"p_min must be >= 11, got {p_min}")
-    if not 1 <= criteria.workers <= MAX_WORKERS:
-        raise ValueError(
-            f"workers must lie in [1, {MAX_WORKERS}], got {criteria.workers}")
     primes = filter(is_prime, range(p_min | 1, p_max + 1, 2))
     row_of = partial(build_row, factor_k_max=criteria.factor_k_max)
-    if criteria.workers > 1:
-        rows = _pool_rows(row_of, primes, criteria.workers)
-    else:
-        rows = map(row_of, primes)
-    return filter(partial(_passes, criteria), rows)
-
-
-def _pool_rows(row_of: Callable, primes: Iterable[int], workers: int) -> Iterator[SearchRow]:
-    # imported here, so that a command without a pool does not load
-    # multiprocessing at start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(row_of, primes, chunksize=16)
+    return filter(partial(_passes, criteria), map(row_of, primes))

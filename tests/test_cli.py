@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from rootparity import cli, complexity, search, sequence
-from rootparity.numtheory import PSI_12
+from rootparity import cli, complexity, sequence
+from rootparity.numtheory import PSI_12, is_prime
 from rootparity.search import scan
 
 
@@ -71,6 +71,17 @@ class TestAnalyze:
         assert [r[0] for r in rows[1:]] == [
             str(p) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
         ]
+
+    def test_range_primes_are_tested_as_the_records_are_written(self, monkeypatch):
+        class ClosedOut(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        tested = []
+        monkeypatch.setattr(cli, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        with pytest.raises(BrokenPipeError):
+            cli.run(["analyze", "--p-range", "11..1000000"], ClosedOut())
+        assert 0 < len(tested) < 100
 
     def test_big_s2_serialized_as_string(self):
         code, text = run(["analyze", "--p", "751", "--format", "json-lines"])
@@ -297,17 +308,11 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --p" in err and f"got {p}" in err
 
-    @pytest.mark.parametrize("workers", ["0", "-3", str(search.MAX_WORKERS + 1)])
-    def test_workers_outside_1_to_the_cap(self, workers, monkeypatch, capsys):
+    def test_workers_is_not_an_option(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.search, "scan", lambda *args: pytest.fail("scan ran"))
-        argv = ["scan", "--p-min", "11", "--p-max", "30", "--workers", workers]
+        argv = ["scan", "--p-min", "11", "--p-max", "30", "--workers", "2"]
         assert run(argv) == (cli.EXIT_USAGE, "")
-        assert "argument --workers" in capsys.readouterr().err
-
-    def test_workers_cap_is_accepted(self):
-        argv = ["scan", "--p-min", "11", "--p-max", "30",
-                "--workers", str(search.MAX_WORKERS)]
-        assert cli.build_parser().parse_args(argv).workers == search.MAX_WORKERS
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_ell_and_s_max_above_the_cap_fail_at_the_parser(
@@ -348,8 +353,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, option, value", [
         (["generate", "--p", "abc"], "--p", "abc"),
         (["analyze", "--p", "43", "--factor-k-max", "1e3"], "--factor-k-max", "1e3"),
-        (["scan", "--p-min", "11", "--p-max", "30", "--workers", "two"],
-         "--workers", "two"),
+        (["czcheck", "--p", "13", "--s-max", "two"], "--s-max", "two"),
         (["analyze", "--p-range", "a..b"], "--p-range", "a"),
         (["scan", "--p-min", "11", "--p-max", "x"], "--p-max", "x"),
     ])
@@ -404,9 +408,11 @@ def _python(*args):
 
 
 def test_import_loads_no_worker_pool_or_dataclasses():
-    # every command pays for its imports at start-up; only scan --workers > 1
-    # needs the pool
-    code = ("import sys, rootparity.cli; rootparity.cli.build_parser(); "
+    # every command pays for its imports at start-up, and scan runs in one
+    # process: neither importing the CLI nor scanning loads a pool
+    code = ("import io, sys, rootparity.cli; "
+            "assert rootparity.cli.run(['scan', '--p-min', '11', '--p-max', '3000'],"
+            " io.StringIO()) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('concurrent', 'multiprocessing', 'dataclasses')))")
     result = _python("-c", code)
@@ -436,7 +442,7 @@ def test_scan_above_the_exponent_table_ends_with_undecided_rows(fmt):
 
 @pytest.mark.parametrize("argv", [
     ["generate", "--p", "999983"],
-    ["scan", "--p-min", "11", "--p-max", "300000", "--workers", "2"],
+    ["scan", "--p-min", "11", "--p-max", "300000"],
 ])
 def test_closed_stdout_ends_the_command_by_sigpipe_without_a_message(argv):
     # the output overruns the pipe buffer, so the command is still writing
@@ -447,8 +453,7 @@ def test_closed_stdout_ends_the_command_by_sigpipe_without_a_message(argv):
     assert len(proc.stdout.read(16)) == 16
     proc.stdout.close()
     proc.stdout = None  # so that communicate() reads stderr alone
-    # stderr ends only when every process holding it has exited, pool
-    # workers included
+    # stderr ends only when the command has exited
     try:
         _, stderr = proc.communicate(timeout=60)
     finally:

@@ -203,23 +203,13 @@ class TestScan:
         b = list(scan(11, 200))
         assert a == b
 
-    def test_workers_match_serial(self):
-        crit = ScanCriteria(workers=2)
-        par = list(scan(11, 150, crit))
-        ser = list(scan(11, 150))
-        assert par == ser
+    def test_disjoint_ranges_concatenate_to_the_whole(self):
+        assert list(scan(11, 1500)) + list(scan(1501, 3000)) == list(scan(11, 3000))
 
     def test_rejects_small_p_min(self):
         # on the call itself, before any row is asked for
         with pytest.raises(ValueError):
             scan(5, 100)
-        with pytest.raises(ValueError):
-            scan(5, 100, ScanCriteria(workers=2))
-
-    @pytest.mark.parametrize("workers", [-3, 0, search.MAX_WORKERS + 1])
-    def test_rejects_workers_outside_1_to_the_cap(self, workers):
-        with pytest.raises(ValueError, match=f"workers must lie in .*got {workers}"):
-            scan(11, 60, ScanCriteria(workers=workers))
 
     def test_rows_are_built_as_they_are_asked_for(self, monkeypatch):
         built = []
