@@ -146,7 +146,7 @@ def _analyze_doc(p: int, factor_k_max: int) -> dict:
     ctx = sequence.build_context(p)
     seq = sequence.build_s_sequence(ctx)
     bal = sequence.balance(seq, ctx)
-    rep = complexity.full_report(ctx, factor_budget=factor_k_max)
+    rep = complexity.full_report(ctx, factor_budget=factor_k_max, seq=seq)
     return {
         "p": ctx.p,
         "T": ctx.T,

@@ -7,10 +7,21 @@ _gf2_mod.  For prime T a third check, independent of _gf2_mod, asserts
 T - L = [S(1) = 0] (mod ord_T(2)) from the cyclotomic factors of X^T - 1.
 Polynomials over GF(2) are bit-packed into Python integers (bit i =
 coefficient of X^i).
+
+Where the two run: BM always runs in the calling process.  From
+T >= FORK_MIN_T, when the process may run on two CPUs and os.fork exists,
+full_report forks once and the gcd runs in the child at the same time;
+otherwise the gcd runs first in the same process.  The threshold weighs
+the fork against the gcd it hides: fork, exit and wait took a median of
+3.8-4.0 ms in a process holding four contexts, and the gcd 1.0 ms at
+T = 2195, 18-22 ms at T = 19199 and 83-90 ms at T = 48803 (Python 3.11.7,
+2 vCPU).  BM takes 2-3 times as long as the gcd, since its remainders
+start at 2T bits, so the child is the shorter side.
 """
 
+import os
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .numtheory import (
     DEFAULT_SCAN_FACTOR_K_MAX,
@@ -46,11 +57,17 @@ class ComplexityReport(NamedTuple):
     C_lower: int | None
 
 
+# The period from which full_report runs the gcd in a forked child
+FORK_MIN_T = 10_000
+
+
 def _gf2_mod(a: int, b: int) -> int:
+    # One shift per quotient term, so b << 1 at most once; the X^0 term,
+    # the last, needs none (b << 0 would copy b)
     db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
+    while (d := a.bit_length() - db) > 0:
+        a ^= b << d
+    return a ^ b if d == 0 else a
 
 
 def _gf2_gcd(a: int, b: int) -> int:
@@ -125,19 +142,87 @@ def c_lower_bound(q: int) -> int:
     return q.bit_length() - 1
 
 
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _exit_at_eof(fd: int) -> None:
+    os.read(fd, 1)  # nothing is written: this returns at EOF
+    os._exit(1)
+
+
+def _gcd_child(seq: BitSequence, reply_fd: int, lifeline_fd: int) -> NoReturn:
+    """The forked side: write linear_complexity_gcd(seq), or the error, and exit.
+
+    os._exit skips the buffers shared with the parent, such as stdout's.  A
+    thread ends the child when the lifeline reaches EOF, as it does when the
+    parent dies, so a killed command leaves no process behind.
+    """
+    code = 1
+    try:
+        try:
+            import threading
+
+            threading.Thread(target=_exit_at_eof, args=(lifeline_fd,), daemon=True).start()
+            reply, code = str(linear_complexity_gcd(seq)), 0
+        except BaseException as e:
+            reply = repr(e)[:1000]
+        os.write(reply_fd, reply.encode())
+    finally:
+        os._exit(code)
+
+
+def _bm_beside_forked_gcd(seq: BitSequence) -> tuple[int, int]:
+    """(BM, gcd) linear complexities, the gcd computed in a forked child."""
+    import signal
+
+    reply_r, reply_w = os.pipe()
+    lifeline_r, lifeline_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(reply_r)
+        os.close(lifeline_w)
+        _gcd_child(seq, reply_w, lifeline_r)
+    os.close(reply_w)
+    os.close(lifeline_r)
+    # the lifeline is held open until the child is reaped
+    with open(reply_r, "rb") as reply, open(lifeline_w, "wb"):
+        try:
+            l_bm = linear_complexity_bm(seq)
+            text = reply.read().decode()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not text.isdigit():
+        raise RuntimeError(f"the forked gcd ended with exit code {code}: {text}")
+    return l_bm, int(text)
+
+
 def full_report(
-    ctx: PrimeContext, factor_budget: int = DEFAULT_SCAN_FACTOR_K_MAX
+    ctx: PrimeContext,
+    factor_budget: int = DEFAULT_SCAN_FACTOR_K_MAX,
+    seq: BitSequence | None = None,
 ) -> ComplexityReport:
     """Assemble every exact value and lower bound for the parity sequence.
 
+    seq is build_s_sequence(ctx), built here unless the caller has it.
     L_lower and C_lower are the paper's bounds for a non-constant sequence
     and are reported whatever the sequence is. A constant sequence falls
     below them: at p = 19 the sequence is all ones, so L = 1 and C = 0
     while L_lower = C_lower = 4.
     """
-    seq = build_s_sequence(ctx)
-    l_gcd = linear_complexity_gcd(seq)
-    l_bm = linear_complexity_bm(seq)
+    if seq is None:
+        seq = build_s_sequence(ctx)
+    if seq.period >= FORK_MIN_T and hasattr(os, "fork") and _two_cpus():
+        l_bm, l_gcd = _bm_beside_forked_gcd(seq)
+    else:
+        l_gcd = linear_complexity_gcd(seq)
+        l_bm = linear_complexity_bm(seq)
     if l_bm != l_gcd:
         raise InconsistencyError(
             f"linear complexity mismatch for p={ctx.p}: bm={l_bm} gcd={l_gcd}"

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -401,9 +402,9 @@ def _package_env():
     return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
-def _python(*args):
+def _python(*args, env=None):
     """Run a new interpreter on the package under test, for at most 60 s."""
-    return subprocess.run([sys.executable, *args], env=_package_env(),
+    return subprocess.run([sys.executable, *args], env=env or _package_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -459,3 +460,110 @@ def test_closed_stdout_ends_the_command_by_sigpipe_without_a_message(argv):
     finally:
         proc.kill()  # nothing to do once the command has ended
     assert (proc.returncode, stderr) == (-signal.SIGPIPE, b"")
+
+
+# Runs the CLI with the gcd forked for every period, as on two CPUs, then
+# reports the forks and whether a child of this process is left, on stderr
+FORKED_CLI = """
+import os, sys
+from rootparity import cli, complexity
+
+forks = []
+fork = complexity._bm_beside_forked_gcd
+complexity._bm_beside_forked_gcd = lambda seq: forks.append(seq) or fork(seq)
+complexity.FORK_MIN_T = 1
+complexity._two_cpus = lambda: True
+gcd = complexity.linear_complexity_gcd
+{patch}
+code = cli.run(sys.argv[1:])
+sys.stdout.flush()
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = None
+print(f"forks={{len(forks)}} left={{left}}", file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def _buffered_env():
+    """_package_env() with stdout block-buffered, as it is on a pipe by default."""
+    return {k: v for k, v in _package_env().items() if k != "PYTHONUNBUFFERED"}
+
+
+def _forked_cli(argv, patch=""):
+    return _python("-c", FORKED_CLI.format(patch=patch), *argv, env=_buffered_env())
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv", "text"])
+def test_forked_gcd_leaves_the_output_byte_identical(fmt):
+    # stdout is a pipe, so it is block-buffered: a child that flushed it on
+    # the way out would print the records written before its fork again
+    argv = ["analyze", "--p-range", "11..400", "--format", fmt]
+    serial = _python("-m", "rootparity.cli", *argv, env=_buffered_env())
+    forked = _forked_cli(argv)
+    primes = sum(map(is_prime, range(11, 401)))
+    assert (forked.returncode, forked.stdout) == (serial.returncode, serial.stdout)
+    assert serial.returncode == cli.EXIT_OK and serial.stdout.count("\n") >= primes
+    assert forked.stderr == f"forks={primes} left=None\n"
+
+
+def test_forked_gcd_mismatch_exits_3_with_one_line():
+    result = _forked_cli(["analyze", "--p", "1009"],
+                         "complexity.linear_complexity_gcd = lambda seq: gcd(seq) + 1")
+    assert (result.returncode, result.stdout) == (cli.EXIT_INCONSISTENT, "")
+    message, tally = result.stderr.splitlines()
+    assert message.startswith("internal inconsistency: linear complexity mismatch "
+                              "for p=1009: bm=")
+    assert tally == "forks=1 left=None"
+
+
+def test_forked_gcd_that_raises_exits_3_and_leaves_no_child():
+    patch = ("def boom(seq):\n    raise ValueError('no gcd today')\n"
+             "complexity.linear_complexity_gcd = boom")
+    result = _forked_cli(["analyze", "--p", "1009"], patch)
+    assert (result.returncode, result.stdout) == (cli.EXIT_INCONSISTENT, "")
+    assert result.stderr.splitlines() == [
+        "internal error in analyze: RuntimeError(\"the forked gcd ended with exit "
+        "code 1: ValueError('no gcd today')\")",
+        "forks=1 left=None",
+    ]
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return [int(c) for c in f.read().split()]
+
+
+def _running(pid):
+    """Whether pid is a live process: neither gone nor a zombie (read from /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+                    or not complexity._two_cpus(),
+                    reason="needs /proc children lists and two CPUs")
+def test_sigterm_during_bm_leaves_no_forked_gcd_behind():
+    # p = 999983: T = 493583, so the gcd is forked, and it would run for
+    # seconds after the parent had gone if the lifeline did not end it
+    proc = subprocess.Popen([sys.executable, "-m", "rootparity.cli", "analyze",
+                             "--p", "999983"], env=_package_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (children := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.terminate()
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 1
+        while _running(children[0]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(children[0])
+    finally:
+        proc.kill()
+        proc.wait()

@@ -45,6 +45,29 @@ def reference_bm(bits):
     return L
 
 
+def reference_mod(a, b):
+    """The plain remainder loop: one shift per quotient term, b << 0 included."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def test_gf2_mod_matches_the_plain_loop():
+    rng = random.Random(15)
+    kinds = ["a < b", "equal degrees", "quotient of degree 1", "b = 1", "any"]
+    for i in range(3000):
+        kind = kinds[i % len(kinds)]
+        db = 1 if kind == "b = 1" else rng.randrange(1, 1500)
+        b = rng.getrandbits(db - 1) | (1 << (db - 1))  # degree db - 1
+        da = {"a < b": rng.randrange(0, db), "equal degrees": db,
+              "quotient of degree 1": db + 1}.get(kind, rng.randrange(0, 3000))
+        a = rng.getrandbits(da) | (1 << da >> 1)  # degree da - 1, or a = 0
+        want = reference_mod(a, b)
+        assert want.bit_length() < db
+        assert complexity._gf2_mod(a, b) == want, (kind, a, b)
+
+
 class TestLinearComplexityGcd:
     def test_examples(self):
         assert linear_complexity_gcd(bitseq([0, 1, 0])) == 3
@@ -231,6 +254,20 @@ class TestFullReport:
         rep = full_report(build_context(41))  # T = 15 composite
         assert rep.T == 15
         assert rep.C_lower is None
+
+    def test_gcd_forks_from_the_threshold_on_two_cpus(self, monkeypatch):
+        periods = []
+        fork = complexity._bm_beside_forked_gcd
+        monkeypatch.setattr(complexity, "_bm_beside_forked_gcd",
+                            lambda seq: periods.append(seq.period) or fork(seq))
+        monkeypatch.setattr(complexity, "_two_cpus", lambda: True)
+        assert complexity.FORK_MIN_T == 10_000
+        full_report(build_context(6607))  # T = 2195
+        rep = full_report(build_context(50021))  # T = 19199
+        assert periods == [19199] and rep.L == 19199
+        monkeypatch.setattr(complexity, "_two_cpus", lambda: False)
+        assert full_report(build_context(50021)) == rep
+        assert periods == [19199]
 
     def test_budget_miss_gives_none(self):
         rep = full_report(build_context(751), factor_budget=100)  # T = 199
