@@ -28,11 +28,14 @@ EVERY_FORMAT = [
     "generate --p 13",
     "generate --p 103",
     "generate --p 103 --variant t",
+    "generate --p 6607",
+    "generate --p 6607 --variant t",
     "analyze --p 103",
     "analyze --p 751 --factor-k-max 1000",
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
     *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
+    "patterns --p 6607 --ell 4",
     "tables --which 1",
     "tables --which 2",
     "scan --p-min 11 --p-max 400",
@@ -46,6 +49,7 @@ TEXT_ONLY = [
     "czcheck --p 13",
     "czcheck --p 103 --s-max 3",
     "czcheck --p 379 --s-max 2",
+    "czcheck --p 6607 --s-max 3",
 ]
 USAGE_ERRORS = [
     "",
