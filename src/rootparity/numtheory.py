@@ -170,10 +170,8 @@ def _find_generator(p: int, phi_factors: tuple[int, ...]) -> int:
     raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
 
 
-# Bounded like sequence.build_context, whose contexts hold these tuples.
-@lru_cache(maxsize=4)
-def primitive_roots(p: int) -> tuple[int, ...]:
-    """All primitive roots modulo an odd prime p, in increasing order."""
+def root_indicator(p: int) -> bytes:
+    """The primitive roots modulo an odd prime p as bytes: byte r is 1 iff r is one."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     pm1_primes = factorize(p - 1).primes()
@@ -187,7 +185,14 @@ def primitive_roots(p: int) -> tuple[int, ...]:
     for k_coprime in coprime:  # acc = g^k meets every residue 1..p-1 once
         is_root[acc] = k_coprime
         acc = acc * g % p
-    return tuple(compress(range(p), is_root))
+    return bytes(is_root)
+
+
+# About 36 B per root, where sequence.build_context keeps root_indicator's 1 B per residue.
+@lru_cache(maxsize=4)
+def primitive_roots(p: int) -> tuple[int, ...]:
+    """All primitive roots modulo an odd prime p, in increasing order."""
+    return tuple(compress(range(p), root_indicator(p)))
 
 
 # Exponents T of the Mersenne primes 2^T - 1 with T <= _MERSENNE_TABLE_BOUND.

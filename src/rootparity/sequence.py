@@ -10,11 +10,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import compress, cycle, islice, product
 from typing import NamedTuple
 
 from .bounds import predicted_balance_fracs, predicted_pattern_frac
-from .numtheory import _MERSENNE_TABLE_BOUND, factorize, is_prime, primitive_roots
+from .numtheory import _MERSENNE_TABLE_BOUND, factorize, is_prime, root_indicator
+
+_TO_TEXT = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to "0"/"1" text
 
 
 class PrimeContext(NamedTuple):
@@ -24,7 +26,7 @@ class PrimeContext(NamedTuple):
     phi: int
     T: int
     eta: Fraction
-    roots: tuple[int, ...]
+    is_root: bytes  # is_root[r] is 1 when the residue r is a primitive root, else 0
 
 
 class BitSequence(NamedTuple):
@@ -61,30 +63,31 @@ class CzCheck(NamedTuple):
 MAX_P = 2 * _MERSENNE_TABLE_BOUND + 3
 
 
-# A command reuses only the context of its current p; at p ~ 10^6 one
-# context holds about 19 MB, so the cache keeps a handful.
+# A command reuses only the context of its current p; one context holds
+# about 1 B per residue (1.0 MB at p ~ 10^6), and the cache keeps a handful.
 @lru_cache(maxsize=4)
 def build_context(p: int) -> PrimeContext:
-    """Check that p is a prime in [11, MAX_P]; assemble roots, phi, T and eta."""
+    """Check that p is a prime in [11, MAX_P]; mark its roots, count phi, T and eta."""
     if not 11 <= p <= MAX_P or not is_prime(p):
         raise ValueError(f"p must be a prime in [11, {MAX_P}], got {p}")
-    roots = primitive_roots(p)
-    phi = len(roots)
-    return PrimeContext(p=p, phi=phi, T=phi - 1, eta=Fraction(phi, p), roots=roots)
+    is_root = root_indicator(p)
+    phi = is_root.count(1)
+    return PrimeContext(p=p, phi=phi, T=phi - 1, eta=Fraction(phi, p), is_root=is_root)
 
 
 def build_s_sequence(ctx: PrimeContext) -> BitSequence:
     """Parities of sums of consecutive primitive roots."""
-    r = ctx.roots
-    bits = "".join("01"[(r[n] + r[n + 1]) & 1] for n in range(ctx.T))
+    # One byte per root, its parity; s_n is the xor of bytes n and n + 1.
+    parity = bytes(compress(cycle(b"\0\1"), ctx.is_root))
+    s = int.from_bytes(parity[:-1], "big") ^ int.from_bytes(parity[1:], "big")
+    bits = s.to_bytes(ctx.T, "big").translate(_TO_TEXT).decode()
     return BitSequence(bits=bits, period=ctx.T)
 
 
 def build_t_sequence(ctx: PrimeContext) -> BitSequence:
     """Indicator of consecutive primitive roots at distance exactly 1."""
-    r = ctx.roots
-    bits = "".join("01"[r[n + 1] == r[n] + 1] for n in range(ctx.T))
-    return BitSequence(bits=bits, period=ctx.T)
+    adjacent = bytes(compress(ctx.is_root[1:], ctx.is_root))[:ctx.T]  # is g + 1 a root
+    return BitSequence(bits=adjacent.translate(_TO_TEXT).decode(), period=ctx.T)
 
 
 def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
@@ -123,10 +126,7 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
 # czcheck asks for all 2^s vectors of one s in turn; a histogram has <= p - s keys.
 @lru_cache(maxsize=1)
 def _block_windows(p: int, s: int) -> Counter:
-    is_root = bytearray(p)  # indexed by residue: is_root[1:] is c(1..p-1)
-    for g in primitive_roots(p):
-        is_root[g] = 1
-    return _window_counts(is_root[1:], s)
+    return _window_counts(build_context(p).is_root[1:], s)  # c(1..p-1)
 
 
 def block_count(p: int, epsilons: list[int]) -> int:
@@ -155,7 +155,7 @@ def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     s = len(epsilons)
     z = sum(1 for e in epsilons if e == 1)
     tau = factorize(p - 1).divisor_count
-    eta = len(primitive_roots(p)) / p
+    eta = build_context(p).phi / p
     main_term = p * eta ** z * (1 - eta) ** (s - z)
     bound = 2 ** (s - z + 1) * s * math.sqrt(p) * math.log(p) * tau ** s
     return CzCheck(

@@ -19,7 +19,7 @@ from rootparity.complexity import (
     s_one,
     two_adic_complexity,
 )
-from rootparity.numtheory import factorize, is_prime, multiplicative_order
+from rootparity.numtheory import factorize, is_prime, multiplicative_order, primitive_roots
 from rootparity.search import reproduce_table1, reproduce_table2
 from rootparity.sequence import (
     BitSequence,
@@ -91,7 +91,8 @@ def test_criterion_3_s1_endpoint_identity():
         if not is_prime(p):
             continue
         ctx = build_context(p)
-        if ctx.roots[0] + ctx.roots[-1] != p:
+        roots = primitive_roots(p)
+        if roots[0] + roots[-1] != p:
             exceptions.append((p, "endpoint sum"))
         if s_one(build_s_sequence(ctx)) != 1:
             exceptions.append((p, "s_one"))

@@ -1,8 +1,9 @@
 import io
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
 
 import pytest
 
@@ -27,12 +28,12 @@ class TestBuildContext:
     def test_p13(self):
         ctx = build_context(13)
         assert (ctx.phi, ctx.T, ctx.eta) == (4, 3, Fraction(4, 13))
-        assert ctx.roots == (2, 6, 7, 11)
+        assert primitive_roots(13) == (2, 6, 7, 11)
 
     def test_p11(self):
         ctx = build_context(11)
         assert (ctx.phi, ctx.T, ctx.eta) == (4, 3, Fraction(4, 11))
-        assert ctx.roots == (2, 6, 7, 8)
+        assert primitive_roots(11) == (2, 6, 7, 8)
 
     def test_p31(self):
         ctx = build_context(31)
@@ -62,9 +63,24 @@ class TestBuildContext:
     def test_invariants_sweep(self):
         for p in PRIMES_2000[:100]:
             ctx = build_context(p)
-            assert ctx.T == len(ctx.roots) - 1 >= 3
+            assert ctx.T == len(primitive_roots(p)) - 1 >= 3
             assert ctx.T % 2 == 1
             assert 0 < ctx.eta < Fraction(1, 2)
+
+    def test_context_holds_about_one_byte_per_residue(self):
+        # A tuple of the roots, kept by primitive_roots' cache, would cost
+        # about 36 B per root: 15 B per residue at this p.
+        p = 50021
+        primitive_roots.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctx = build_context.__wrapped__(p)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ctx.phi == 19200
+        assert held < 2 * p
 
 
 class TestSequences:
@@ -79,6 +95,17 @@ class TestSequences:
         assert build_t_sequence(build_context(11)).bits == "011"
         assert build_t_sequence(build_context(19)).bits == "10011"
 
+    def test_builders_match_the_definitions(self):
+        for p in [*PRIMES_2000, 50021]:
+            ctx = build_context(p)
+            roots = primitive_roots(p)
+            assert type(ctx.is_root) is bytes
+            assert ctx.phi == len(roots)
+            s_bits = "".join("01"[(a + b) & 1] for a, b in pairwise(roots))
+            t_bits = "".join("01"[b == a + 1] for a, b in pairwise(roots))
+            assert build_s_sequence(ctx).bits == s_bits
+            assert build_t_sequence(ctx).bits == t_bits
+
     def test_period_matches_context(self):
         for p in PRIMES_2000:
             ctx = build_context(p)
@@ -92,7 +119,8 @@ class TestSequences:
                 continue
             ctx = build_context(p)
             seq = build_s_sequence(ctx)
-            assert seq.bits.count("1") % 2 == (ctx.roots[0] + ctx.roots[-1]) % 2
+            roots = primitive_roots(p)
+            assert seq.bits.count("1") % 2 == (roots[0] + roots[-1]) % 2
 
 
 class TestBalance:
