@@ -60,6 +60,10 @@ class ComplexityReport(NamedTuple):
 # The period from which full_report runs the gcd in a forked child
 FORK_MIN_T = 10_000
 
+# The fewest low bits linear_complexity_bm drops from its remainders at once,
+# so that it does not pay two shifts for a few bits
+BM_MIN_DROP = 64
+
 
 def _gf2_mod(a: int, b: int) -> int:
     # One shift per quotient term, so b << 1 at most once; the X^0 term,
@@ -96,13 +100,26 @@ def linear_complexity_bm(seq: BitSequence) -> int:
     t s* = r (mod X^N) with deg r < deg t = l. As 2L - 1 < N, the shortest
     is the first Euclid pair of (X^N, s*) with deg r_(k-1) + deg r_k < N,
     and deg t_k = N - deg r_(k-1) = L. A zero remainder has degree -inf.
+
+    Only high bits are read.  Let the bits of a and b below X^j be unknown,
+    with j <= N - deg a.  While the loop runs, deg b >= N - deg a >= j, and
+    deg b >= N - L >= T, because every b it reads becomes an a and L <= T
+    for a T-periodic sequence.  So the degree test and the quotient a div b,
+    which reads a from X^(deg b) up and b from X^(2 deg b - deg a) >=
+    X^(N - deg a) up, are exact, and the remainder's unknown bits lie below
+    X^(j + deg a - deg b) <= X^(N - deg b), the bound for the next pair.
+    Hence the N - deg a low bits of both are dropped once they number at
+    least BM_MIN_DROP and an eighth of a's bits; off counts the bits dropped.
     """
     T, N = seq.period, 2 * seq.period
     r = int(seq.bits, 2)  # bit T-1-j = s_j
     a, b = 1 << N, (r << T) | r
-    while b and a.bit_length() + b.bit_length() - 2 >= N:
+    n, off = N, 0  # a and b are the remainders >> off, and n = N - 2 off
+    while b and a.bit_length() + b.bit_length() - 2 >= n:
         a, b = b, _gf2_mod(a, b)
-    return N + 1 - a.bit_length()
+        if (k := n + 1 - a.bit_length()) >= BM_MIN_DROP and k >= a.bit_length() >> 3:
+            a, b, n, off = a >> k, b >> k, n - 2 * k, off + k
+    return N + 1 - off - a.bit_length()
 
 
 def s_one(seq: BitSequence) -> int:

@@ -7,6 +7,7 @@ primitive roots differ by exactly 1.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +18,11 @@ from .bounds import predicted_balance_fracs, predicted_pattern_frac
 from .numtheory import _MERSENNE_TABLE_BOUND, factorize, is_prime, root_indicator
 
 _TO_TEXT = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to "0"/"1" text
+_FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
+# The windows _window_counts packs into one slot integer.  Its temporaries
+# then stay within a few MB: at p = 9999991, ell = 3 took 0.20 s and 50 MB
+# max RSS in chunks, 0.27 s and 75 MB in one integer (Python 3.11.7, 2 vCPU).
+_WINDOW_CHUNK = 1 << 18
 
 
 class PrimeContext(NamedTuple):
@@ -100,8 +106,39 @@ def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
 
 
 def _window_counts(bits, ell: int) -> Counter:
-    """Occurrences of each length-ell window tuple of bits, n = 0..len(bits)-ell."""
-    return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
+    """Occurrences of each length-ell window tuple of bits, n = 0..len(bits)-ell.
+
+    bits is "0"/"1" text or 0/1 bytes, and the tuples hold its items.  Up to
+    ell = 16 the code of each window, its first bit the highest, fills one
+    w-bit slot (w = 8 or 16) of W = OR_i (B >> w i) << (ell - 1 - i), where
+    bit w k of B is bits[k]; the slots are counted at C speed, one chunk of
+    windows at a time.
+    """
+    if ell > 16:
+        return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
+    item = (0, 1)
+    if isinstance(bits, str):
+        item, bits = "01", bits.encode().translate(_FROM_TEXT)
+    w = 8 if ell <= 8 else 16
+    codes = Counter()
+    for start in range(0, len(bits) - ell + 1, _WINDOW_CHUNK):
+        chunk = bits[start:start + _WINDOW_CHUNK + ell - 1]
+        data = bytearray(w // 8 * len(chunk))
+        data[::w // 8] = chunk
+        B = int.from_bytes(data, "little")
+        W = 0
+        for i in range(ell):
+            W |= (B >> w * i) << (ell - 1 - i)
+        m = len(chunk) - ell + 1  # the windows; the slots above are cut short
+        slots = (W & ((1 << w * m) - 1)).to_bytes(w // 8 * m, sys.byteorder)
+        if ell <= 4:
+            codes.update({c: slots.count(c) for c in range(1 << ell)})
+        else:
+            codes.update(memoryview(slots).cast("B" if w == 8 else "H"))
+    return Counter({
+        tuple(item[c >> (ell - 1 - i) & 1] for i in range(ell)): n
+        for c, n in codes.items() if n
+    })
 
 
 def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternReport:
@@ -123,10 +160,10 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
     )
 
 
-# czcheck asks for all 2^s vectors of one s in turn; a histogram has <= p - s keys.
+# czcheck asks for all 2^s vectors of one s in turn; a histogram has <= 2^s keys.
 @lru_cache(maxsize=1)
 def _block_windows(p: int, s: int) -> Counter:
-    return _window_counts(build_context(p).is_root[1:], s)  # c(1..p-1)
+    return _window_counts(memoryview(build_context(p).is_root)[1:], s)  # c(1..p-1)
 
 
 def block_count(p: int, epsilons: list[int]) -> int:

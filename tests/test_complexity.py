@@ -27,7 +27,7 @@ def bitseq(bits):
     return BitSequence(bits="".join(map(str, bits)), period=len(bits))
 
 
-def reference_bm(bits):
+def bit_serial_bm(bits):
     """Bit-serial Berlekamp-Massey over 2T terms of the repeated sequence."""
     C = B = 1  # connection polynomials, bit i = coefficient of X^i
     L = 0
@@ -43,6 +43,16 @@ def reference_bm(bits):
             else:
                 C ^= B << (n - m)
     return L
+
+
+def reference_bm(seq):
+    """Euclid-form Berlekamp-Massey on the full remainders, none of their bits dropped."""
+    T, N = seq.period, 2 * seq.period
+    r = int(seq.bits, 2)
+    a, b = 1 << N, (r << T) | r
+    while b and a.bit_length() + b.bit_length() - 2 >= N:
+        a, b = b, complexity._gf2_mod(a, b)
+    return N + 1 - a.bit_length()
 
 
 def reference_mod(a, b):
@@ -105,23 +115,58 @@ class TestEuclidBmAgainstBitSerialBm:
     def test_every_sequence_of_period_up_to_12(self):
         for t in range(1, 13):
             for bits in product((0, 1), repeat=t):
-                assert linear_complexity_bm(bitseq(bits)) == reference_bm(bits), bits
+                assert linear_complexity_bm(bitseq(bits)) == bit_serial_bm(bits), bits
 
     def test_random_periods_up_to_400(self):
         rng = random.Random(8)
         for _ in range(300):
             bits = [rng.randint(0, 1) for _ in range(rng.randrange(1, 401))]
-            assert linear_complexity_bm(bitseq(bits)) == reference_bm(bits), bits
+            assert linear_complexity_bm(bitseq(bits)) == bit_serial_bm(bits), bits
 
     def test_parity_sequences_of_every_prime_below_3000(self):
         for p in range(11, 3000):
             if is_prime(p):
                 seq = build_s_sequence(build_context(p))
-                assert linear_complexity_bm(seq) == reference_bm(map(int, seq.bits)), p
+                assert linear_complexity_bm(seq) == bit_serial_bm(map(int, seq.bits)), p
 
     def test_parity_sequence_at_t_19199(self):
         seq = build_s_sequence(build_context(50021))
-        assert linear_complexity_bm(seq) == reference_bm(map(int, seq.bits))
+        assert linear_complexity_bm(seq) == bit_serial_bm(map(int, seq.bits))
+
+
+@pytest.fixture(params=[1, complexity.BM_MIN_DROP], ids=["drop-every-step", "drop-default"])
+def bm_min_drop(request, monkeypatch):
+    """BM_MIN_DROP = 1 drops low bits after nearly every Euclid step, even at small T."""
+    monkeypatch.setattr(complexity, "BM_MIN_DROP", request.param)
+    return request.param
+
+
+class TestBmDroppedBitsAgainstFullRemainders:
+    def test_parity_sequences_of_every_prime_below_3000(self, bm_min_drop):
+        for p in range(11, 3000):
+            if is_prime(p):
+                seq = build_s_sequence(build_context(p))
+                assert linear_complexity_bm(seq) == reference_bm(seq), p
+
+    @pytest.mark.parametrize("p", [6607, 50021, 100019])
+    def test_parity_sequences_of_the_ladder(self, p, bm_min_drop):
+        seq = build_s_sequence(build_context(p))
+        assert linear_complexity_bm(seq) == reference_bm(seq)
+
+    def test_random_periodic_sequences(self, bm_min_drop):
+        rng = random.Random(17)
+        kinds = ["random bits", "repeated block", "all zeros", "all ones"]
+        for i in range(2400):
+            kind, t = kinds[i % 4], rng.randrange(1, 600)
+            if kind == "random bits":
+                bits = "".join(rng.choice("01") for _ in range(t))
+            elif kind == "repeated block":  # L <= the block length
+                block = "".join(rng.choice("01") for _ in range(rng.randrange(1, 12)))
+                bits = block * rng.randrange(1, 50)
+            else:
+                bits = ("0" if kind == "all zeros" else "1") * t
+            seq = BitSequence(bits=bits, period=len(bits))
+            assert linear_complexity_bm(seq) == reference_bm(seq), (kind, bits)
 
 
 class TestCyclotomicIdentity:

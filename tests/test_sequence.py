@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import pairwise, product
+from itertools import islice, pairwise, product
 
 import pytest
 
@@ -22,6 +22,11 @@ from rootparity.sequence import (
 )
 
 PRIMES_2000 = [p for p in range(11, 2001) if is_prime(p)]
+
+
+def zip_windows(bits, ell):
+    """The window histogram by zip over ell shifted iterators, without byte slots."""
+    return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
 
 
 class TestBuildContext:
@@ -153,6 +158,19 @@ class TestWindowCounts:
                     assert _window_counts(bytearray(bits), ell) == naive
 
 
+    @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
+    @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 16, 17])
+    def test_slot_widths_and_counters_match_zip(self, ell, chunk, monkeypatch):
+        # 1-byte slots to ell = 8, 2-byte slots to 16, then zip; bytes.count
+        # to ell = 4, then a Counter; chunk-7 cuts the windows into chunks
+        monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
+        rng = random.Random(ell)
+        bits = bytes(rng.getrandbits(1) for _ in range(5000))
+        text = bits.translate(bytes.maketrans(b"\0\1", b"01")).decode()
+        assert _window_counts(text, ell) == zip_windows(text, ell)
+        assert _window_counts(bits, ell) == zip_windows(bits, ell)
+
+
 class TestPatternStats:
     def test_ell1_degenerates_to_balance(self):
         ctx = build_context(13)
@@ -232,6 +250,14 @@ class TestBlockCount:
                         if all(c[j + i] == eps[i] for i in range(s))
                     )
                     assert block_count(p, list(eps)) == expect
+
+    def test_every_sign_vector_to_s_15_at_p_50021(self):
+        indicator = build_context(50021).is_root[1:]  # c(1..p-1) as 0/1 bytes
+        for s in range(1, 16):
+            windows = zip_windows(indicator, s)
+            for eps in product((1, -1), repeat=s):
+                want = windows[tuple(int(e == 1) for e in eps)]
+                assert block_count(50021, list(eps)) == want, eps
 
     def test_czcheck_walks_the_indicator_once_per_block_length(self, monkeypatch):
         calls = []
