@@ -15,8 +15,9 @@ otherwise the gcd runs first in the same process.  The threshold weighs
 the fork against the gcd it hides: fork, exit and wait took a median of
 3.8-4.0 ms in a process holding four contexts, and the gcd 1.0 ms at
 T = 2195, 18-22 ms at T = 19199 and 83-90 ms at T = 48803 (Python 3.11.7,
-2 vCPU).  BM takes 2-3 times as long as the gcd, since its remainders
-start at 2T bits, so the child is the shorter side.
+2 vCPU).  BM took 1.8-3.2 times as long as the gcd at T = 141055 and
+493583, since its remainders start at 2T bits, so the child is the
+shorter side.
 """
 
 import os

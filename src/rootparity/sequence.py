@@ -19,9 +19,10 @@ from .numtheory import _MERSENNE_TABLE_BOUND, factorize, is_prime, root_indicato
 
 _TO_TEXT = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to "0"/"1" text
 _FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
-# The windows _window_counts packs into one slot integer.  Its temporaries
-# then stay within a few MB: at p = 9999991, ell = 3 took 0.20 s and 50 MB
-# max RSS in chunks, 0.27 s and 75 MB in one integer (Python 3.11.7, 2 vCPU).
+# The windows _window_counts packs into one slot integer, so that its
+# temporaries stay within a few MB.  At p = 9999991 one walk at ell = 3 took
+# 0.20 s where one integer for all windows took 0.27 s, and czcheck --s-max 3
+# peaked at 50 MB max RSS where it peaked at 75 MB (Python 3.11.7, 2 vCPU).
 _WINDOW_CHUNK = 1 << 18
 
 
@@ -108,7 +109,7 @@ def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
 def _window_counts(bits, ell: int) -> Counter:
     """Occurrences of each length-ell window tuple of bits, n = 0..len(bits)-ell.
 
-    bits is "0"/"1" text or 0/1 bytes, and the tuples hold its items.  Up to
+    bits is "0"/"1" text or 0/1 bytes-like, and the tuples hold its items.  Up to
     ell = 16 the code of each window, its first bit the highest, fills one
     w-bit slot (w = 8 or 16) of W = OR_i (B >> w i) << (ell - 1 - i), where
     bit w k of B is bits[k]; the slots are counted at C speed, one chunk of
