@@ -157,7 +157,6 @@ class TestWindowCounts:
                     naive = Counter(tuple(bits[i:i + ell]) for i in windows)
                     assert _window_counts(bytearray(bits), ell) == naive
 
-
     @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
     @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 16, 17])
     def test_slot_widths_and_counters_match_zip(self, ell, chunk, monkeypatch):
