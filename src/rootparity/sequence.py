@@ -136,9 +136,12 @@ def _window_counts(bits, ell: int) -> Counter:
             codes.update({c: slots.count(c) for c in range(1 << ell)})
         else:
             codes.update(memoryview(slots).cast("B" if w == 8 else "H"))
+    # product lists the tuples in code order; a code's tuple is its high
+    # ell - h bits' tuple followed by its low h bits' tuple.
+    h = ell // 2
+    high, low = list(product(item, repeat=ell - h)), list(product(item, repeat=h))
     return Counter({
-        tuple(item[c >> (ell - 1 - i) & 1] for i in range(ell)): n
-        for c, n in codes.items() if n
+        high[c >> h] + low[c & (1 << h) - 1]: n for c, n in codes.items() if n
     })
 
 

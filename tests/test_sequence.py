@@ -158,7 +158,7 @@ class TestWindowCounts:
                     assert _window_counts(bytearray(bits), ell) == naive
 
     @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
-    @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 16, 17])
+    @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 15, 16, 17])
     def test_slot_widths_and_counters_match_zip(self, ell, chunk, monkeypatch):
         # 1-byte slots to ell = 8, 2-byte slots to 16, then zip; bytes.count
         # to ell = 4, then a Counter; chunk-7 cuts the windows into chunks
