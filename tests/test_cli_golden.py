@@ -1,10 +1,12 @@
 """Golden CLI matrix: the exit code and the sha256 of stdout for fixed commands.
 
 A refactor of the CLI or of the row and record code must leave every entry
-of tests/data/cli_golden.json unchanged. Regenerate the data, only for an
-intended output change, with:
+of tests/data/cli_golden.json unchanged. Record the commands that the data
+lacks, and leave every existing entry as it is, with:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --add
+
+Regenerate the whole file, only for an intended output change, without --add.
 
 czcheck is covered in text only: its json-lines and csv output print the
 float bounds at full precision, and those digits come from the platform's
@@ -15,6 +17,7 @@ varies between Python versions.
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,7 @@ EVERY_FORMAT = [
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
     *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
-    "patterns --p 6607 --ell 4",
+    *(f"patterns --p 6607 --ell {ell}" for ell in (4, 5, 9, 16)),
     "tables --which 1",
     "tables --which 2",
     "scan --p-min 11 --p-max 400",
@@ -50,6 +53,7 @@ TEXT_ONLY = [
     "czcheck --p 103 --s-max 3",
     "czcheck --p 379 --s-max 2",
     "czcheck --p 6607 --s-max 3",
+    "czcheck --p 379 --s-max 9",
 ]
 USAGE_ERRORS = [
     "",
@@ -71,13 +75,12 @@ def run(command: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def record() -> dict:
-    golden = {}
-    for command in matrix():
-        code, digest = run(command)
-        golden[command] = {"exit": code, "sha256": digest}
-    for command in USAGE_ERRORS:
-        golden[command] = {"exit": run(command)[0], "sha256": None}
+def record(golden: dict) -> dict:
+    """Add an entry for every command that golden lacks; keep the others as they are."""
+    for command in matrix() + USAGE_ERRORS:
+        if command not in golden:
+            code, digest = run(command)
+            golden[command] = {"exit": code, "sha256": None if command in USAGE_ERRORS else digest}
     return golden
 
 
@@ -93,6 +96,25 @@ def test_golden_output(command):
         assert digest == expected["sha256"]
 
 
+def test_data_covers_the_matrix():
+    assert sorted(GOLDEN) == sorted(matrix() + USAGE_ERRORS)
+
+
+def test_add_records_only_the_missing_commands(monkeypatch):
+    ran = []
+    monkeypatch.setattr(sys.modules[__name__], "run", lambda command: ran.append(command) or (0, "new"))
+    missing = TEXT_ONLY[-1]
+    kept = {command: {"exit": 9, "sha256": "old"} for command in matrix() + USAGE_ERRORS}
+    del kept[missing]
+    golden = record(dict(kept))
+    assert ran == [missing]
+    assert golden[missing] == {"exit": 0, "sha256": "new"}
+    assert {c: e for c, e in golden.items() if c != missing} == kept
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--add"]):
+        sys.exit("usage: test_cli_golden.py [--add]")
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(record(), indent=1) + "\n")
+    golden = record(dict(GOLDEN) if sys.argv[1:] else {})
+    DATA.write_text(json.dumps(golden, indent=1) + "\n")
