@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, cycle, islice, product
+from itertools import compress, cycle
 from typing import NamedTuple
 
 from .bounds import predicted_balance_fracs, predicted_pattern_frac
@@ -107,19 +107,17 @@ def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:
 
 
 def _window_counts(bits, ell: int) -> Counter:
-    """Occurrences of each length-ell window tuple of bits, n = 0..len(bits)-ell.
+    """Occurrences of each length-ell window code of bits, n = 0..len(bits)-ell.
 
-    bits is "0"/"1" text or 0/1 bytes-like, and the tuples hold its items.  Up to
-    ell = 16 the code of each window, its first bit the highest, fills one
-    w-bit slot (w = 8 or 16) of W = OR_i (B >> w i) << (ell - 1 - i), where
-    bit w k of B is bits[k]; the slots are counted at C speed, one chunk of
-    windows at a time.
+    bits is 0/1 bytes-like, and a window's code is its bits read in binary,
+    the first bit the highest.  Up to ell = 16 each code fills one w-bit slot
+    (w = 8 or 16) of W = OR_i (B >> w i) << (ell - 1 - i), where bit w k of B
+    is bits[k]; the slots are counted at C speed, one chunk of windows at a
+    time.  Codes that no window has may be absent or counted 0.
     """
     if ell > 16:
-        return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
-    item = (0, 1)
-    if isinstance(bits, str):
-        item, bits = "01", bits.encode().translate(_FROM_TEXT)
+        text = bytes(bits).translate(_TO_TEXT)
+        return Counter(int(text[i:i + ell], 2) for i in range(len(text) - ell + 1))
     w = 8 if ell <= 8 else 16
     codes = Counter()
     for start in range(0, len(bits) - ell + 1, _WINDOW_CHUNK):
@@ -136,13 +134,7 @@ def _window_counts(bits, ell: int) -> Counter:
             codes.update({c: slots.count(c) for c in range(1 << ell)})
         else:
             codes.update(memoryview(slots).cast("B" if w == 8 else "H"))
-    # product lists the tuples in code order; a code's tuple is its high
-    # ell - h bits' tuple followed by its low h bits' tuple.
-    h = ell // 2
-    high, low = list(product(item, repeat=ell - h)), list(product(item, repeat=h))
-    return Counter({
-        high[c >> h] + low[c & (1 << h) - 1]: n for c, n in codes.items() if n
-    })
+    return codes
 
 
 def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternReport:
@@ -153,11 +145,12 @@ def pattern_stats(seq: BitSequence, ctx: PrimeContext, ell: int) -> PatternRepor
     """
     if not 1 <= ell <= seq.period:
         raise ValueError(f"ell must lie in [1, {seq.period}], got {ell}")
-    windows = _window_counts(seq.bits, ell)
-    counts = {"".join(pat): windows[pat] for pat in product("01", repeat=ell)}
-    weight_counts = {w: 0 for w in range(ell + 1)}
-    for pat, c in counts.items():
-        weight_counts[pat.count("1")] += c
+    windows = _window_counts(seq.bits.encode().translate(_FROM_TEXT), ell)
+    spec = f"0{ell}b"  # a code as its pattern
+    counts = {format(c, spec): windows[c] for c in range(1 << ell)}
+    weight_counts = dict.fromkeys(range(ell + 1), 0)
+    for c, n in windows.items():
+        weight_counts[c.bit_count()] += n
     predicted = {w: predicted_pattern_frac(ctx.eta, ell, w) for w in range(ell + 1)}
     return PatternReport(
         ell=ell, counts=counts, weight_counts=weight_counts, predicted=predicted
@@ -183,7 +176,7 @@ def block_count(p: int, epsilons: list[int]) -> int:
         raise ValueError(f"block length {s} must be < p = {p}")
     if any(e not in (1, -1) for e in epsilons):
         raise ValueError("epsilons entries must be +1 or -1")
-    return _block_windows(p, s)[tuple(int(e == 1) for e in epsilons)]
+    return _block_windows(p, s)[int(bytes(e == 1 for e in epsilons).translate(_TO_TEXT), 2)]
 
 
 def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:

@@ -10,6 +10,7 @@ import pytest
 from rootparity import cli, sequence
 from rootparity.numtheory import is_prime, primitive_roots
 from rootparity.sequence import (
+    BitSequence,
     _block_windows,
     _window_counts,
     balance,
@@ -27,6 +28,18 @@ PRIMES_2000 = [p for p in range(11, 2001) if is_prime(p)]
 def zip_windows(bits, ell):
     """The window histogram by zip over ell shifted iterators, without byte slots."""
     return Counter(zip(*(islice(bits, i, None) for i in range(ell))))
+
+
+def by_code(windows):
+    """A tuple-keyed window histogram keyed by each window's code, first bit highest."""
+    return Counter({int("".join(map(str, t)), 2): n for t, n in windows.items()})
+
+
+def random_bits(seed, n):
+    """n random bits as 0/1 bytes and as "0"/"1" text."""
+    rng = random.Random(seed)
+    bits = bytes(rng.getrandbits(1) for _ in range(n))
+    return bits, bits.translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 class TestBuildContext:
@@ -149,25 +162,18 @@ class TestWindowCounts:
         for n in range(1, 41):
             for _ in range(3):
                 bits = [rng.getrandbits(1) for _ in range(n)]
-                text = "".join(map(str, bits))
                 for ell in range(1, n + 1):
-                    windows = range(n - ell + 1)
-                    naive = Counter(tuple(text[i:i + ell]) for i in windows)
-                    assert _window_counts(text, ell) == naive
-                    naive = Counter(tuple(bits[i:i + ell]) for i in windows)
-                    assert _window_counts(bytearray(bits), ell) == naive
+                    naive = Counter(tuple(bits[i:i + ell]) for i in range(n - ell + 1))
+                    assert _window_counts(bytearray(bits), ell) == by_code(naive)
 
     @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
     @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 15, 16, 17])
     def test_slot_widths_and_counters_match_zip(self, ell, chunk, monkeypatch):
-        # 1-byte slots to ell = 8, 2-byte slots to 16, then zip; bytes.count
+        # 1-byte slots to ell = 8, 2-byte slots to 16, then text slices; bytes.count
         # to ell = 4, then a Counter; chunk-7 cuts the windows into chunks
         monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
-        rng = random.Random(ell)
-        bits = bytes(rng.getrandbits(1) for _ in range(5000))
-        text = bits.translate(bytes.maketrans(b"\0\1", b"01")).decode()
-        assert _window_counts(text, ell) == zip_windows(text, ell)
-        assert _window_counts(bits, ell) == zip_windows(bits, ell)
+        bits, _ = random_bits(ell, 5000)
+        assert _window_counts(bits, ell) == by_code(zip_windows(bits, ell))
 
 
 class TestPatternStats:
@@ -213,6 +219,24 @@ class TestPatternStats:
                 for pat, c in short.items():
                     assert c >= long[pat + "0"] + long[pat + "1"] >= c - 1
 
+    @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
+    @pytest.mark.parametrize("ell", range(1, 13))
+    def test_matches_string_slice_counting(self, ell, chunk, monkeypatch):
+        # the text of test_slot_widths_and_counters_match_zip, then short texts
+        monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
+        ctx = build_context(13)
+        rng = random.Random(2021)
+        short = ["".join(str(rng.getrandbits(1)) for _ in range(n)) for n in range(ell, 41)]
+        for text in [random_bits(ell, 5000)[1], *short]:
+            rep = pattern_stats(BitSequence(bits=text, period=len(text)), ctx, ell)
+            naive = Counter(text[i:i + ell] for i in range(len(text) - ell + 1))
+            patterns = ["".join(pat) for pat in product("01", repeat=ell)]
+            assert list(rep.counts.items()) == [(pat, naive[pat]) for pat in patterns]
+            assert rep.weight_counts == {
+                w: sum(n for pat, n in naive.items() if pat.count("1") == w)
+                for w in range(ell + 1)
+            }
+
 
 class TestBlockCount:
     def test_examples(self):
@@ -257,6 +281,21 @@ class TestBlockCount:
             for eps in product((1, -1), repeat=s):
                 want = windows[tuple(int(e == 1) for e in eps)]
                 assert block_count(50021, list(eps)) == want, eps
+
+    @pytest.mark.parametrize("s", [16, 17, 20, 24])
+    def test_sign_vectors_past_s_16_at_p_50021(self, s):
+        # s = 16 is the last 2-byte slot width; longer blocks are cut from text
+        indicator = build_context(50021).is_root[1:]  # c(1..p-1) as 0/1 bytes
+        windows = zip_windows(indicator, s)
+        rng = random.Random(s)
+        drawn = [[rng.choice((1, -1)) for _ in range(s)] for _ in range(200)]
+        seen = [  # vectors that occur, so that some counts are not 0
+            [1 if b else -1 for b in indicator[j:j + s]]
+            for j in rng.sample(range(len(indicator) - s + 1), 200)
+        ]
+        for eps in [[1] * s, [-1] * s, *drawn, *seen]:
+            want = windows[tuple(int(e == 1) for e in eps)]
+            assert block_count(50021, eps) == want, eps
 
     def test_czcheck_walks_the_indicator_once_per_block_length(self, monkeypatch):
         calls = []
