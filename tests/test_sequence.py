@@ -227,10 +227,10 @@ class TestPatternStats:
         ctx = build_context(13)
         rng = random.Random(2021)
         short = ["".join(str(rng.getrandbits(1)) for _ in range(n)) for n in range(ell, 41)]
+        patterns = ["".join(pat) for pat in product("01", repeat=ell)]
         for text in [random_bits(ell, 5000)[1], *short]:
             rep = pattern_stats(BitSequence(bits=text, period=len(text)), ctx, ell)
             naive = Counter(text[i:i + ell] for i in range(len(text) - ell + 1))
-            patterns = ["".join(pat) for pat in product("01", repeat=ell)]
             assert list(rep.counts.items()) == [(pat, naive[pat]) for pat in patterns]
             assert rep.weight_counts == {
                 w: sum(n for pat, n in naive.items() if pat.count("1") == w)
