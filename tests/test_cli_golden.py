@@ -37,6 +37,7 @@ EVERY_FORMAT = [
     "analyze --p 751 --factor-k-max 1000",
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
+    "analyze --p 50021",
     *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
     *(f"patterns --p 6607 --ell {ell}" for ell in (4, 5, 9, 16)),
     "tables --which 1",
@@ -47,6 +48,7 @@ EVERY_FORMAT = [
     "scan --p-min 11 --p-max 400 --two-primitive-root",
     "scan --p-min 11 --p-max 400 --t-prime --no-flags --factor-k-max 3",
     "scan --p-min 24 --p-max 28",
+    "scan --p-min 1000000000 --p-max 1000001000 --t-prime",
 ]
 TEXT_ONLY = [
     "czcheck --p 13",
