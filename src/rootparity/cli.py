@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_int(n):
     # str(Decimal(n)) is exact and, unlike str(n), not capped at 4300 digits
-    return str(Decimal(n)) if abs(n) > _JSON_INT_MAX else n
+    return str(Decimal(n)) if n is not None and abs(n) > _JSON_INT_MAX else n
 
 
 def _frac_str(f: Fraction) -> str:
@@ -55,10 +55,10 @@ def _frac_str(f: Fraction) -> str:
 
 def row_to_json(row: search.SearchRow) -> dict:
     return {
-        "T": row.T,
-        "p": row.p,
-        "ord": row.ord_T_2,
-        "q": _json_int(row.q) if row.q is not None else None,
+        "T": _json_int(row.T),
+        "p": _json_int(row.p),
+        "ord": _json_int(row.ord_T_2),
+        "q": _json_int(row.q),
         "log2q": row.log2q,
         "ratio": _frac_str(row.ratio),
         "mersenne": row.mersenne,

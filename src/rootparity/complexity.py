@@ -28,9 +28,8 @@ from .numtheory import (
     DEFAULT_SCAN_FACTOR_K_MAX,
     FactorizationInfo,
     factorize,
-    is_prime,
-    mersenne_status,
     multiplicative_order,
+    period_facts,
 )
 from .sequence import BitSequence, PrimeContext, build_s_sequence
 
@@ -246,23 +245,16 @@ def full_report(
             f"linear complexity mismatch for p={ctx.p}: bm={l_bm} gcd={l_gcd}"
         )
     s1 = s_one(seq)
-    t_prime = is_prime(ctx.T)
-    # X^T - 1 = (X + 1) Phi_T, and Phi_T splits into irreducibles of degree
-    # d = ord_T(2), so T - L = deg gcd(X^T - 1, S) = [S(1) = 0] (mod d)
-    if t_prime and (ctx.T - l_gcd) % multiplicative_order(2, ctx.T) != 1 - s1:
+    ord_t, mersenne, q = period_facts(ctx.T, factor_budget)
+    # For prime T, X^T - 1 = (X + 1) Phi_T, and Phi_T splits into irreducibles
+    # of degree d = ord_T(2), so T - L = deg gcd(X^T - 1, S) = [S(1) = 0] (mod d)
+    if ord_t is not None and (ctx.T - l_gcd) % ord_t != 1 - s1:
         raise InconsistencyError(
             f"linear complexity {l_gcd} for p={ctx.p} breaks T - L = [S(1) = 0] "
             f"(mod ord_T(2)) at T={ctx.T}"
         )
     eps = epsilon_of(ctx.p)
     two_adic = two_adic_complexity(seq)
-    c_lower: int | None = None
-    if t_prime:
-        mersenne, q = mersenne_status(ctx.T, factor_budget)
-        if mersenne:
-            c_lower = ctx.T - 1
-        elif q is not None:
-            c_lower = c_lower_bound(q)
     return ComplexityReport(
         T=ctx.T,
         L=l_gcd,
@@ -271,5 +263,5 @@ def full_report(
         L_lower=lc_lower_bound(factorize(ctx.T), eps),
         S2=two_adic.S2,
         C=two_adic.C,
-        C_lower=c_lower,
+        C_lower=ctx.T - 1 if mersenne else None if q is None else c_lower_bound(q),
     )

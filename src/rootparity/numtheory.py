@@ -2,9 +2,10 @@
 
 Deterministic primality, factorization (trial division + Brent's rho),
 totient, multiplicative order, primitive root enumeration, the Mersenne
-prime test (a table of known exponents, unknown above it) and a sieved
-Mersenne-factor hunt. is_prime raises ValueError from psi_12 up, and so
-does every function that asks it about such a number.
+prime test (a table of known exponents, unknown above it), a sieved
+Mersenne-factor hunt, and period_facts: ord_T(2) with both for a period T.
+is_prime raises ValueError from psi_12 up, and so does every function that
+asks it about such a number.
 """
 
 from functools import lru_cache
@@ -317,6 +318,14 @@ def mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
         return True, None
     q = smallest_mersenne_factor(T, k_max)
     return (mersenne if q is None else False), q
+
+
+def period_facts(T: int, k_max: int) -> tuple[int | None, bool | None, int | None]:
+    """ord_T(2) and mersenne_status(T, k_max) for a prime period T, which decide
+    maximal complexity; a composite T reads (None, False, None), never hunted."""
+    if not is_prime(T):
+        return None, False, None
+    return multiplicative_order(2, T), *mersenne_status(T, k_max)
 
 
 def verify_mersenne_factor(T: int, q: int) -> bool:

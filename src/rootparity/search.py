@@ -1,6 +1,6 @@
 """Reference-table reproduction and prime search.
 
-Builds rows (T, p, ord_T(2), smallest Mersenne factor; derived ratio and flags),
+Builds rows (T, p and numtheory.period_facts of T; derived ratio and flags),
 regenerates the two published tables against an embedded fixture, and scans
 prime ranges for candidates without undesirable features.
 """
@@ -18,8 +18,7 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    mersenne_status,
-    multiplicative_order,
+    period_facts,
     verify_mersenne_factor,
 )
 
@@ -99,11 +98,7 @@ def _phi_preimages(m: int, primes: list[int], n: int = 1) -> Iterator[int]:
 def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRow:
     """Full quality row for one prime p, factor hunt within budget."""
     T = euler_phi(p - 1) - 1
-    ord_t = q = None
-    mersenne = False
-    if is_prime(T):
-        ord_t = multiplicative_order(2, T)
-        mersenne, q = mersenne_status(T, factor_k_max)
+    ord_t, mersenne, q = period_facts(T, factor_k_max)
     return SearchRow(
         T=T,
         p=p,

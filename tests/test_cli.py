@@ -246,6 +246,26 @@ class TestScanCommand:
         assert (doc["log2q"], doc["ratio"]) == (60, "200/751")
         assert doc == cli.row_to_json(row)
 
+    def test_p_beyond_2_53_is_the_decimal_string_of_the_text(self):
+        # p = 10^16 + 61, the one prime in the range, is above 2^53
+        argv = ["scan", "--p-min", "10000000000000060", "--p-max", "10000000000000062"]
+        code, text = run(argv)
+        assert code == 0
+        fields = dict(f.split("=", 1) for f in text.split() if "=" in f)
+        code, line = run(argv + ["--format", "json-lines"])
+        assert code == 0
+        assert json.loads(line)["p"] == fields["p"] == "10000000000000061"
+
+    def test_every_row_integer_beyond_2_53_is_a_string(self):
+        from rootparity.search import SearchRow
+
+        big = 2 ** 53 + 1
+        row = SearchRow(T=big + 2, p=big + 4, ord_T_2=big, q=big + 6, mersenne=False)
+        doc = json.loads(json.dumps(cli.row_to_json(row)))
+        assert [doc[k] for k in ("T", "p", "ord", "q")] == [
+            str(big + 2), str(big + 4), str(big), str(big + 6)]
+        assert cli.row_to_json(row._replace(ord_T_2=2 ** 53))["ord"] == 2 ** 53
+
 
 class TestEmptyRanges:
     @pytest.mark.parametrize("argv", [

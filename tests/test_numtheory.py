@@ -13,6 +13,7 @@ from rootparity.numtheory import (
     is_prime,
     mersenne_status,
     multiplicative_order,
+    period_facts,
     primitive_roots,
     smallest_mersenne_factor,
     verify_mersenne_factor,
@@ -255,6 +256,8 @@ class TestMersenne:
             True, None, None, None]
         assert mersenne_status(131, 10 ** 4) == (False, 263)
         assert mersenne_status(107, 10 ** 4) == (None, None)  # 2^107 - 1 is prime
+        assert period_facts(131, 10 ** 4) == (130, False, 263)
+        assert period_facts(107, 10 ** 4) == (106, None, None)
 
     def test_sieved_hunt_matches_the_unsieved_loop(self):
         # The unsieved loop's first divisor within 10^4 candidates gives the
@@ -297,6 +300,17 @@ class TestMersenne:
         assert mersenne_status(3, 10 ** 6) == (True, None)
         assert mersenne_status(11, 10 ** 6) == (False, 23)
         assert mersenne_status(199, 100) == (False, None)
+        assert period_facts(3, 10 ** 6) == (2, True, None)
+        assert period_facts(11, 10 ** 6) == (10, False, 23)
+        assert period_facts(199, 100) == (99, False, None)
+
+    def test_composite_period_is_not_hunted(self, monkeypatch):
+        def hunt(T, k_max):
+            raise AssertionError(f"hunted composite T = {T}")
+
+        monkeypatch.setattr(numtheory, "smallest_mersenne_factor", hunt)
+        assert period_facts(15, 10 ** 6) == (None, False, None)
+        assert period_facts(2195, 10 ** 6) == (None, False, None)
 
     def test_no_budget_finds_nothing(self):
         assert smallest_mersenne_factor(11, 0) is None
