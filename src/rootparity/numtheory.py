@@ -9,8 +9,9 @@ asks it about such a number.
 """
 
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import gcd, prod
+from operator import add, mul
 from typing import NamedTuple
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
@@ -209,10 +210,12 @@ _MERSENNE_EXPONENTS = frozenset((
     37156667, 42643801, 43112609,
 ))
 
-# Candidates 2kT + 1 of the factor hunt are taken in blocks of this many k
-# and sieved by the odd primes below _SIEVE_LIMIT; the sieve's cost is
-# mostly a fixed ~170 slice assignments per block.  The survivors are tried
-# _HUNT_GROUP at a time by one pow over their product.
+# The factor hunt takes its candidates k in blocks of _HUNT_BLOCK consecutive
+# k (rounded down to a multiple of 4), of which the half in the two classes
+# mod 4 that give q = +-1 (mod 8) are indexed and sieved by the odd primes
+# below _SIEVE_LIMIT; the sieve's cost is mostly a fixed ~340 slice
+# assignments per block.  The survivors are tried _HUNT_GROUP at a time by
+# one pow over their product.
 _HUNT_BLOCK = 65536
 _HUNT_GROUP = 64
 _SIEVE_LIMIT = 1000
@@ -251,21 +254,33 @@ def is_mersenne_prime(T: int) -> bool | None:
     return None
 
 
+@lru_cache(maxsize=1)
+def _wheel(n: int) -> tuple[tuple[int, ...], memoryview]:
+    """The offsets k - k_b of the n indices of a hunt block that starts at k_b,
+    4m + e for index 2m + e, and n zero bytes to clear sieve slices from."""
+    return tuple(2 * i - (i & 1) for i in range(n)), memoryview(bytes(n))
+
+
 # Many primes share a period: scan 11..7000 hunts 129 distinct T for 333
 # prime periods.
 @lru_cache(maxsize=1024)
 def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     """Hunt the smallest prime factor of 2^T - 1 for prime T.
 
-    Every prime factor q of 2^T - 1 is 2kT + 1 with q = +-1 (mod 8).  The
-    candidates k = 1..k_max are taken in increasing order, in blocks; a
-    sieve drops those that are not +-1 (mod 8) or have a prime factor
-    r < 1000 other than themselves, and only the survivors are tried.  The
-    first survivor that divides is the smallest prime factor: any smaller
-    prime factor would be a smaller candidate, which is prime and so is
-    never sieved out, and a composite candidate that divides has its prime
-    factors among the smaller candidates.  Returns None if nothing divides
-    within the budget.
+    Every prime factor q of 2^T - 1 is 2kT + 1 with q = +-1 (mod 8).  For odd
+    T, k mod 4 decides q mod 8, and the two classes of k that give +-1 are
+    consecutive mod 4: {0, 1} when T = 3 (mod 4), else {3, 0}.  With s the
+    first of them, index j = 2m + e stands for k = s + 4m + e (e = 0, 1), so
+    ascending indices are ascending k and ascending q, and no k outside the
+    two classes has an index.  (T = 2 has no factor 4k + 1; any classes do.)
+    The indices of k = 1..k_max are taken in blocks; a sieve drops those
+    whose candidate has a prime factor r < 1000 other than itself, and only
+    the survivors are tried.  The first survivor that divides is the
+    smallest prime factor: any smaller prime factor would be a smaller
+    candidate of the two classes, which is prime and so is never sieved
+    out, and a composite candidate that divides has its prime factors among
+    the smaller candidates.  Returns None if nothing divides within the
+    budget.
 
     The survivors are tried in ascending groups of 64 by one pow:
     x = 2^T mod Q, Q the product of the group, so x = 2^T (mod q) for each
@@ -279,22 +294,39 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
     step = 2 * T
-    # (m, k0, first): drop every k = k0 (mod m) from k = first on.  k mod 4
-    # fixes 2kT + 1 mod 8; k = -(2T)^-1 (mod r) makes r divide 2kT + 1,
-    # and the first such k is kept when the candidate is r itself, a prime.
-    drops = [(4, c, c) for c in range(4) if (c * step + 1) % 8 not in (1, 7)]
+    s = 0 if T % 4 == 3 else 3
+    # r divides 2kT + 1 for k = k0 = -(2T)^-1 (mod r), and for index 2m + e
+    # of a block from k_b when m = (k0 - k_b - e) / 4 (mod r): two slices of
+    # stride 2r.  When the candidate of k0 is r itself, a prime, it is kept.
+    sieve, keep = [], []
     for r in _SIEVE_PRIMES:
         if step % r:
             k0 = -pow(step, -1, r) % r
-            drops.append((r, k0, k0 + r if k0 * step + 1 == r else k0))
-    for lo in range(1, k_max + 1, _HUNT_BLOCK):
-        n = min(_HUNT_BLOCK, k_max + 1 - lo)
+            inv4 = pow(4, -1, r)
+            sieve.append((r, 2 * r, k0 * inv4 % r, inv4))
+            if k0 * step + 1 == r:
+                keep.append(k0)
+    n_block = max(2, _HUNT_BLOCK // 4 * 2)
+    offsets, zeros = _wheel(n_block)
+    # Indices 0..j_end - 1 are the k = s + 4m + e up to k_max.
+    j_end = (k_max - s + 3) // 4 + (k_max - s + 4) // 4
+    for j in range(0, j_end, n_block):
+        n = min(n_block, j_end - j)
+        kb = s + 2 * j
         alive = bytearray(b"\1") * n
-        for m, k0, first in drops:
-            i = max(first - lo, (k0 - lo) % m)
-            alive[i::m] = bytes(len(range(i, n, m)))
-        ks = compress(range(lo, lo + n), alive)
-        while group := [k * step + 1 for k in islice(ks, _HUNT_GROUP)]:
+        for r, r2, a, inv4 in sieve:
+            i = 2 * ((a - kb * inv4) % r)
+            alive[i::r2] = zeros[:len(range(i, n, r2))]
+            i = 2 * ((i // 2 - inv4) % r) + 1
+            alive[i::r2] = zeros[:len(range(i, n, r2))]
+        if kb == 0:
+            alive[0] = 0  # k = 0
+        for k in keep:
+            d = k - kb
+            if 0 <= d and d % 4 < 2 and 2 * (d // 4) + d % 4 < n:
+                alive[2 * (d // 4) + d % 4] = 1
+        qs = map(add, map(mul, compress(offsets, alive), repeat(step)), repeat(kb * step + 1))
+        while group := list(islice(qs, _HUNT_GROUP)):
             Q = prod(group)
             x = pow(2, T, Q)
             if gcd(x - 1, Q) > 1:

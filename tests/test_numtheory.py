@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import compress, islice
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +64,49 @@ def plain_hunt(t, k_max):
     """The first q = 2kt + 1, k <= k_max, q = +-1 (mod 8), that divides 2^t - 1."""
     return next((q for q in range(2 * t + 1, 2 * t * k_max + 2, 2 * t)
                  if q % 8 in (1, 7) and pow(2, t, q) == 1), None)
+
+
+def reference_hunt(t, k_max, block=65536, group=64):
+    """The hunt before the wheel index: each block of k = 1..k_max is sieved
+    by k mod 4 and by the odd primes below 1000, the survivors are read from
+    range(lo, lo + n), and groups of them are tested by one pow and a gcd."""
+    step = 2 * t
+    drops = [(4, c, c) for c in range(4) if (c * step + 1) % 8 not in (1, 7)]
+    for r in numtheory._SIEVE_PRIMES:
+        if step % r:
+            k0 = -pow(step, -1, r) % r
+            drops.append((r, k0, k0 + r if k0 * step + 1 == r else k0))
+    for lo in range(1, k_max + 1, block):
+        n = min(block, k_max + 1 - lo)
+        alive = bytearray(b"\1") * n
+        for m, k0, first in drops:
+            i = max(first - lo, (k0 - lo) % m)
+            alive[i::m] = bytes(len(range(i, n, m)))
+        ks = compress(range(lo, lo + n), alive)
+        while group_qs := [k * step + 1 for k in islice(ks, group)]:
+            Q = prod(group_qs)
+            x = pow(2, t, Q)
+            if gcd(x - 1, Q) > 1:
+                for q in group_qs:
+                    if x % q == 1:
+                        return q
+    return None
+
+
+HUNT_BUDGETS = (0, 1, 2, 3, 4, 5, 7, 100, 10 ** 4, 65535, 65536, 65537)
+
+
+def assert_hunt_matches_reference(t_below, budgets):
+    """smallest_mersenne_factor against reference_hunt for every prime T < t_below.
+    The reference runs once at the largest budget: its first divisor q = 2kT + 1
+    is the answer for every budget from k on, and None below."""
+    for t in range(2, t_below):
+        if not is_prime(t):
+            continue
+        q = reference_hunt(t, max(budgets))
+        for k_max in budgets:
+            want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
+            assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
 
 
 @pytest.fixture
@@ -270,6 +318,46 @@ class TestMersenne:
             for k_max in (1, 7, 100, 10 ** 4):
                 want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
                 assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
+
+    def test_wheel_hunt_matches_the_reference_hunt(self):
+        smallest_mersenne_factor.cache_clear()
+        assert_hunt_matches_reference(2000, HUNT_BUDGETS)
+
+    def test_wheel_hunt_matches_the_reference_in_small_blocks(self, small_hunt):
+        # blocks of 128 k (64 indices) and groups of 3, with budgets at block edges
+        assert_hunt_matches_reference(1000, (*HUNT_BUDGETS[:8], 127, 128, 129, 255, 256, 1000))
+
+    @pytest.mark.parametrize("block, t_below, budgets", [
+        (1002, 1000, (*HUNT_BUDGETS[:9], 999, 1000, 1001, 1002)),  # 1000 k per block
+        (6, 300, HUNT_BUDGETS[:8]),  # 4 k per block: two indices
+    ])
+    def test_block_size_that_is_not_a_multiple_of_4(self, small_hunt, monkeypatch,
+                                                    block, t_below, budgets):
+        monkeypatch.setattr(numtheory, "_HUNT_BLOCK", block)
+        assert_hunt_matches_reference(t_below, budgets)
+
+    def test_offset_table_follows_the_block_size(self, small_hunt, monkeypatch):
+        lengths = []
+        wheel = numtheory._wheel
+        monkeypatch.setattr(numtheory, "_wheel",
+                            lambda n: lengths.append(len(wheel(n)[0])) or wheel(n))
+        t = 2309  # the smallest factor is 2kT + 1 at k = 13347
+        q = reference_hunt(t, 10 ** 5)
+        assert (q - 1) // (2 * t) == 13347
+        for block, want in ((65536, 32768), (128, 64), (65536, 32768)):
+            monkeypatch.setattr(numtheory, "_HUNT_BLOCK", block)
+            smallest_mersenne_factor.cache_clear()
+            assert smallest_mersenne_factor(t, 10 ** 5) == q, block
+            assert lengths[-1] == want, block  # never a table left from the last size
+        assert numtheory._wheel(64)[0] == tuple(4 * m + e for m in range(32) for e in (0, 1))
+
+    def test_importing_the_cli_builds_no_offset_table(self):
+        code = ("import rootparity.cli, rootparity.numtheory as n; "
+                "print(n._wheel.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(Path(numtheory.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
     def test_small_groups_and_blocks_match_the_plain_loop(self, small_hunt, monkeypatch):
         # Every hit must land first, in the middle, last and alone in a group
