@@ -247,11 +247,19 @@ def is_mersenne_prime(T: int) -> bool | None:
     verified to be complete up to there.  Above it the answer is None,
     unknown: no test that finishes at such T is run.
     """
+    _check_exponent(T)
+    return _mersenne_verdict(T)
+
+
+# The public Mersenne functions test T once with _check_exponent and call the
+# private helpers below, which take T to be prime; period_facts does the same.
+def _check_exponent(T: int) -> None:
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
-    if T <= _MERSENNE_TABLE_BOUND:
-        return T in _MERSENNE_EXPONENTS
-    return None
+
+
+def _mersenne_verdict(T: int) -> bool | None:
+    return T in _MERSENNE_EXPONENTS if T <= _MERSENNE_TABLE_BOUND else None
 
 
 @lru_cache(maxsize=1)
@@ -261,9 +269,6 @@ def _wheel(n: int) -> tuple[tuple[int, ...], memoryview]:
     return tuple(2 * i - (i & 1) for i in range(n)), memoryview(bytes(n))
 
 
-# Many primes share a period: scan 11..7000 hunts 129 distinct T for 333
-# prime periods.
-@lru_cache(maxsize=1024)
 def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     """Hunt the smallest prime factor of 2^T - 1 for prime T.
 
@@ -291,8 +296,14 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     hence the smallest prime factor.  The walk only tests what the gcd
     suggests: if it finds nothing, the hunt goes on with the next group.
     """
-    if not is_prime(T):
-        raise ValueError(f"Mersenne exponent must be prime, got {T}")
+    _check_exponent(T)
+    return _hunt(T, k_max)
+
+
+# Many primes share a period: scan 11..7000 hunts 129 distinct T for 333
+# prime periods.
+@lru_cache(maxsize=1024)
+def _hunt(T: int, k_max: int) -> int | None:
     step = 2 * T
     s = 0 if T % 4 == 3 else 3
     # r divides 2kT + 1 for k = k0 = -(2T)^-1 (mod r), and for index 2m + e
@@ -345,10 +356,15 @@ def mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
     (False, q).  With no factor in the budget, a T the table rules out reads
     (False, None), and a T above the table bound (None, None): undecided.
     """
-    mersenne = is_mersenne_prime(T)
+    _check_exponent(T)
+    return _mersenne_status(T, k_max)
+
+
+def _mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
+    mersenne = _mersenne_verdict(T)
     if mersenne:
         return True, None
-    q = smallest_mersenne_factor(T, k_max)
+    q = _hunt(T, k_max)
     return (mersenne if q is None else False), q
 
 
@@ -357,7 +373,7 @@ def period_facts(T: int, k_max: int) -> tuple[int | None, bool | None, int | Non
     maximal complexity; a composite T reads (None, False, None), never hunted."""
     if not is_prime(T):
         return None, False, None
-    return multiplicative_order(2, T), *mersenne_status(T, k_max)
+    return multiplicative_order(2, T), *_mersenne_status(T, k_max)
 
 
 def verify_mersenne_factor(T: int, q: int) -> bool:

@@ -114,9 +114,9 @@ def small_hunt(monkeypatch):
     """Blocks of 128 candidates and groups of 3 survivors, with a cold cache."""
     monkeypatch.setattr(numtheory, "_HUNT_BLOCK", 128)
     monkeypatch.setattr(numtheory, "_HUNT_GROUP", 3)
-    smallest_mersenne_factor.cache_clear()
+    numtheory._hunt.cache_clear()
     yield
-    smallest_mersenne_factor.cache_clear()
+    numtheory._hunt.cache_clear()
 
 
 class TestIsPrime:
@@ -320,7 +320,7 @@ class TestMersenne:
                 assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
 
     def test_wheel_hunt_matches_the_reference_hunt(self):
-        smallest_mersenne_factor.cache_clear()
+        numtheory._hunt.cache_clear()
         assert_hunt_matches_reference(2000, HUNT_BUDGETS)
 
     def test_wheel_hunt_matches_the_reference_in_small_blocks(self, small_hunt):
@@ -346,7 +346,7 @@ class TestMersenne:
         assert (q - 1) // (2 * t) == 13347
         for block, want in ((65536, 32768), (128, 64), (65536, 32768)):
             monkeypatch.setattr(numtheory, "_HUNT_BLOCK", block)
-            smallest_mersenne_factor.cache_clear()
+            numtheory._hunt.cache_clear()
             assert smallest_mersenne_factor(t, 10 ** 5) == q, block
             assert lengths[-1] == want, block  # never a table left from the last size
         assert numtheory._wheel(64)[0] == tuple(4 * m + e for m in range(32) for e in (0, 1))
@@ -397,8 +397,27 @@ class TestMersenne:
             raise AssertionError(f"hunted composite T = {T}")
 
         monkeypatch.setattr(numtheory, "smallest_mersenne_factor", hunt)
+        monkeypatch.setattr(numtheory, "_hunt", hunt)
         assert period_facts(15, 10 ** 6) == (None, False, None)
         assert period_facts(2195, 10 ** 6) == (None, False, None)
+
+    def test_a_prime_period_is_tested_once(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(numtheory, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        numtheory._hunt.cache_clear()
+        for _ in range(2):  # a cache miss, then a hit
+            tested.clear()
+            assert period_facts(11, 10 ** 4) == (10, False, 23)
+            assert tested == [11]
+        tested.clear()
+        assert period_facts(31, 10 ** 4) == (5, True, None)  # a Mersenne period
+        assert tested == [31]
+
+    def test_public_functions_reject_a_composite_exponent(self):
+        for call in (is_mersenne_prime, lambda t: smallest_mersenne_factor(t, 10),
+                     lambda t: mersenne_status(t, 10)):
+            with pytest.raises(ValueError, match="must be prime, got 15"):
+                call(15)
 
     def test_no_budget_finds_nothing(self):
         assert smallest_mersenne_factor(11, 0) is None

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rootparity import search
+from rootparity import numtheory, search
 from rootparity.numtheory import euler_phi, is_prime
 from rootparity.search import (
     FLAG_LARGE_RATIO,
@@ -85,6 +85,17 @@ class TestLargestP:
 
 def make_row(T, p, ord_t=None, q=None):
     return SearchRow(T=T, p=p, ord_T_2=ord_t, q=q, mersenne=False)
+
+
+def test_build_row_tests_its_prime_period_once(monkeypatch):
+    # p = 43: T = phi(42) - 1 = 11, a prime period whose factor 23 is hunted
+    tested = []
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    numtheory._hunt.cache_clear()
+    for _ in range(2):  # a cache miss, then a hit
+        tested.clear()
+        assert search.build_row(43).q == 23
+        assert tested == [11]
 
 
 class TestFlagRow:
