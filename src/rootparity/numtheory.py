@@ -9,9 +9,8 @@ asks it about such a number.
 """
 
 from functools import lru_cache
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import gcd, prod
-from operator import add, mul
 from typing import NamedTuple
 
 # Miller-Rabin with the 12 prime bases up to 37 is deterministic below
@@ -304,6 +303,7 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
 # prime periods.
 @lru_cache(maxsize=1024)
 def _hunt(T: int, k_max: int) -> int | None:
+    """smallest_mersenne_factor for a T known to be prime."""
     step = 2 * T
     s = 0 if T % 4 == 3 else 3
     # r divides 2kT + 1 for k = k0 = -(2T)^-1 (mod r), and for index 2m + e
@@ -326,18 +326,19 @@ def _hunt(T: int, k_max: int) -> int | None:
         kb = s + 2 * j
         alive = bytearray(b"\1") * n
         for r, r2, a, inv4 in sieve:
-            i = 2 * ((a - kb * inv4) % r)
-            alive[i::r2] = zeros[:len(range(i, n, r2))]
-            i = 2 * ((i // 2 - inv4) % r) + 1
-            alive[i::r2] = zeros[:len(range(i, n, r2))]
+            m = (a - kb * inv4) % r  # e = 0
+            alive[2 * m::r2] = zeros[:len(range(2 * m, n, r2))]
+            m = (m - inv4) % r  # e = 1
+            alive[2 * m + 1::r2] = zeros[:len(range(2 * m + 1, n, r2))]
         if kb == 0:
             alive[0] = 0  # k = 0
         for k in keep:
             d = k - kb
-            if 0 <= d and d % 4 < 2 and 2 * (d // 4) + d % 4 < n:
-                alive[2 * (d // 4) + d % 4] = 1
-        qs = map(add, map(mul, compress(offsets, alive), repeat(step)), repeat(kb * step + 1))
-        while group := list(islice(qs, _HUNT_GROUP)):
+            if 0 <= d and d % 4 < 2 and (i := d // 4 * 2 + d % 4) < n:
+                alive[i] = 1
+        base = kb * step + 1
+        survivors = compress(offsets, alive)  # no object for a dropped candidate
+        while group := [base + step * d for d in islice(survivors, _HUNT_GROUP)]:
             Q = prod(group)
             x = pow(2, T, Q)
             if gcd(x - 1, Q) > 1:

@@ -7,6 +7,12 @@ lacks, and leave every existing entry as it is, with:
     PYTHONPATH=src python tests/test_cli_golden.py --add
 
 Regenerate the whole file, only for an intended output change, without --add.
+Replay every entry without pytest, on any Python the package supports, with:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+It prints each command whose output differs and the count that match, and
+exits 1 if any differs.
 
 czcheck is covered in text only: its json-lines and csv output print the
 float bounds at full precision, and those digits come from the platform's
@@ -14,13 +20,12 @@ libm. Usage errors record the exit code only, because argparse's wording
 varies between Python versions.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
-
-import pytest
 
 from rootparity import cli
 
@@ -86,16 +91,22 @@ def record(golden: dict) -> dict:
     return golden
 
 
+def matches(command: str, expected: dict) -> bool:
+    code, digest = run(command)
+    return code == expected["exit"] and expected["sha256"] in (None, digest)
+
+
 GOLDEN = json.loads(DATA.read_text())
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
+# Parametrized by this hook, so that the module imports without pytest.
+def pytest_generate_tests(metafunc):
+    if "command" in metafunc.fixturenames:
+        metafunc.parametrize("command", sorted(GOLDEN))
+
+
 def test_golden_output(command):
-    code, digest = run(command)
-    expected = GOLDEN[command]
-    assert code == expected["exit"]
-    if expected["sha256"] is not None:
-        assert digest == expected["sha256"]
+    assert matches(command, GOLDEN[command])
 
 
 def test_data_covers_the_matrix():
@@ -115,8 +126,14 @@ def test_add_records_only_the_missing_commands(monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--add"]):
-        sys.exit("usage: test_cli_golden.py [--add]")
+    if sys.argv[1:] not in ([], ["--add"], ["--check"]):
+        sys.exit("usage: test_cli_golden.py [--add | --check]")
+    if sys.argv[1:] == ["--check"]:
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage messages
+            differ = [command for command in sorted(GOLDEN) if not matches(command, GOLDEN[command])]
+        print(*(f"differs: {command}" for command in differ), sep="\n", end="\n" if differ else "")
+        print(f"{len(GOLDEN) - len(differ)}/{len(GOLDEN)} golden entries match")
+        sys.exit(1 if differ else 0)
     DATA.parent.mkdir(exist_ok=True)
     golden = record(dict(GOLDEN) if sys.argv[1:] else {})
     DATA.write_text(json.dumps(golden, indent=1) + "\n")
