@@ -232,6 +232,8 @@ def _small_odd_primes(limit: int) -> tuple[int, ...]:
 # them, the hunt sieves by those below _SIEVE_LIMIT.
 _ODD_PRIMES = _small_odd_primes(_TRIAL_LIMIT)
 _SIEVE_PRIMES = tuple(r for r in _ODD_PRIMES if r < _SIEVE_LIMIT)
+# (r, 2r, 4^-1 mod r) for each sieve prime r.
+_SIEVE = tuple((r, 2 * r, pow(4, -1, r)) for r in _SIEVE_PRIMES)
 
 # Factor-hunt budgets k_max; the README says which command uses which.
 DEFAULT_FACTOR_K_MAX = 10 ** 6
@@ -262,10 +264,12 @@ def _mersenne_verdict(T: int) -> bool | None:
 
 
 @lru_cache(maxsize=1)
-def _wheel(n: int) -> tuple[tuple[int, ...], memoryview]:
+def _wheel(n: int) -> tuple[tuple[int, ...], bytearray]:
     """The offsets k - k_b of the n indices of a hunt block that starts at k_b,
-    4m + e for index 2m + e, and n zero bytes to clear sieve slices from."""
-    return tuple(2 * i - (i & 1) for i in range(n)), memoryview(bytes(n))
+    4m + e for index 2m + e, and n zero bytes to clear sieve slices from.
+    The zeros are never written: a slice of them is a new bytearray, which
+    a bytearray slice assignment takes without another copy."""
+    return tuple(2 * i - (i & 1) for i in range(n)), bytearray(n)
 
 
 def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
@@ -277,14 +281,15 @@ def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
     first of them, index j = 2m + e stands for k = s + 4m + e (e = 0, 1), so
     ascending indices are ascending k and ascending q, and no k outside the
     two classes has an index.  (T = 2 has no factor 4k + 1; any classes do.)
-    The indices of k = 1..k_max are taken in blocks; a sieve drops those
-    whose candidate has a prime factor r < 1000 other than itself, and only
-    the survivors are tried.  The first survivor that divides is the
-    smallest prime factor: any smaller prime factor would be a smaller
-    candidate of the two classes, which is prime and so is never sieved
-    out, and a composite candidate that divides has its prime factors among
-    the smaller candidates.  Returns None if nothing divides within the
-    budget.
+    A factor below 1000 is tried first, among the candidates that are odd
+    primes below 1000.  Without one, every prime factor is above 1000, and
+    the indices of k = 1..k_max are taken in blocks; a sieve drops those
+    whose candidate has a prime factor r < 1000, and only the survivors are
+    tried.  The first survivor that divides is the smallest prime factor:
+    any smaller prime factor would be a smaller candidate of the two
+    classes, which is prime and above 1000 and so is never sieved out, and
+    a composite candidate that divides has its prime factors among the
+    smaller candidates.  Returns None if nothing divides within the budget.
 
     The survivors are tried in ascending groups of 64 by one pow:
     x = 2^T mod Q, Q the product of the group, so x = 2^T (mod q) for each
@@ -306,17 +311,15 @@ def _hunt(T: int, k_max: int) -> int | None:
     """smallest_mersenne_factor for a T known to be prime."""
     step = 2 * T
     s = 0 if T % 4 == 3 else 3
+    # A factor below _SIEVE_LIMIT is a sieve prime r = 2kT + 1, which the
+    # sieve drops, so these are tried first.
+    for r in _SIEVE_PRIMES:
+        if r % step == 1 and r // step <= k_max and pow(2, T, r) == 1:
+            return r
     # r divides 2kT + 1 for k = k0 = -(2T)^-1 (mod r), and for index 2m + e
     # of a block from k_b when m = (k0 - k_b - e) / 4 (mod r): two slices of
-    # stride 2r.  When the candidate of k0 is r itself, a prime, it is kept.
-    sieve, keep = [], []
-    for r in _SIEVE_PRIMES:
-        if step % r:
-            k0 = -pow(step, -1, r) % r
-            inv4 = pow(4, -1, r)
-            sieve.append((r, 2 * r, k0 * inv4 % r, inv4))
-            if k0 * step + 1 == r:
-                keep.append(k0)
+    # stride 2r, from a = k0 / 4 = -(8T)^-1 (mod r).
+    sieve = [(r, r2, -pow(8 * T, -1, r) % r, inv4) for r, r2, inv4 in _SIEVE if T % r]
     n_block = max(2, _HUNT_BLOCK // 4 * 2)
     offsets, zeros = _wheel(n_block)
     # Indices 0..j_end - 1 are the k = s + 4m + e up to k_max.
@@ -326,16 +329,12 @@ def _hunt(T: int, k_max: int) -> int | None:
         kb = s + 2 * j
         alive = bytearray(b"\1") * n
         for r, r2, a, inv4 in sieve:
-            m = (a - kb * inv4) % r  # e = 0
-            alive[2 * m::r2] = zeros[:len(range(2 * m, n, r2))]
-            m = (m - inv4) % r  # e = 1
-            alive[2 * m + 1::r2] = zeros[:len(range(2 * m + 1, n, r2))]
+            m = (a - kb * inv4) % r
+            alive[2 * m::r2] = zeros[2 * m:n:r2]  # e = 0
+            i = 2 * ((m - inv4) % r) + 1
+            alive[i::r2] = zeros[i:n:r2]  # e = 1
         if kb == 0:
             alive[0] = 0  # k = 0
-        for k in keep:
-            d = k - kb
-            if 0 <= d and d % 4 < 2 and (i := d // 4 * 2 + d % 4) < n:
-                alive[i] = 1
         base = kb * step + 1
         survivors = compress(offsets, alive)  # no object for a dropped candidate
         while group := [base + step * d for d in islice(survivors, _HUNT_GROUP)]:

@@ -66,7 +66,7 @@ def plain_hunt(t, k_max):
                  if q % 8 in (1, 7) and pow(2, t, q) == 1), None)
 
 
-def reference_hunt(t, k_max, block=65536, group=64):
+def reference_hunt(t, k_max):
     """The hunt before the wheel index: each block of k = 1..k_max is sieved
     by k mod 4 and by the odd primes below 1000, the survivors are read from
     range(lo, lo + n), and groups of them are tested by one pow and a gcd."""
@@ -76,37 +76,24 @@ def reference_hunt(t, k_max, block=65536, group=64):
         if step % r:
             k0 = -pow(step, -1, r) % r
             drops.append((r, k0, k0 + r if k0 * step + 1 == r else k0))
-    for lo in range(1, k_max + 1, block):
-        n = min(block, k_max + 1 - lo)
+    for lo in range(1, k_max + 1, 65536):
+        n = min(65536, k_max + 1 - lo)
         alive = bytearray(b"\1") * n
         for m, k0, first in drops:
             i = max(first - lo, (k0 - lo) % m)
             alive[i::m] = bytes(len(range(i, n, m)))
         ks = compress(range(lo, lo + n), alive)
-        while group_qs := [k * step + 1 for k in islice(ks, group)]:
-            Q = prod(group_qs)
+        while group := [k * step + 1 for k in islice(ks, 64)]:
+            Q = prod(group)
             x = pow(2, t, Q)
             if gcd(x - 1, Q) > 1:
-                for q in group_qs:
+                for q in group:
                     if x % q == 1:
                         return q
     return None
 
 
 HUNT_BUDGETS = (0, 1, 2, 3, 4, 5, 7, 100, 10 ** 4, 65535, 65536, 65537)
-
-
-def assert_hunt_matches_reference(t_below, budgets):
-    """smallest_mersenne_factor against reference_hunt for every prime T < t_below.
-    The reference runs once at the largest budget: its first divisor q = 2kT + 1
-    is the answer for every budget from k on, and None below."""
-    for t in range(2, t_below):
-        if not is_prime(t):
-            continue
-        q = reference_hunt(t, max(budgets))
-        for k_max in budgets:
-            want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
-            assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
 
 
 @pytest.fixture
@@ -319,22 +306,25 @@ class TestMersenne:
                 want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
                 assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
 
-    def test_wheel_hunt_matches_the_reference_hunt(self):
-        numtheory._hunt.cache_clear()
-        assert_hunt_matches_reference(2000, HUNT_BUDGETS)
-
-    def test_wheel_hunt_matches_the_reference_in_small_blocks(self, small_hunt):
-        # blocks of 128 k (64 indices) and groups of 3, with budgets at block edges
-        assert_hunt_matches_reference(1000, (*HUNT_BUDGETS[:8], 127, 128, 129, 255, 256, 1000))
-
-    @pytest.mark.parametrize("block, t_below, budgets", [
-        (1002, 1000, (*HUNT_BUDGETS[:9], 999, 1000, 1001, 1002)),  # 1000 k per block
-        (6, 300, HUNT_BUDGETS[:8]),  # 4 k per block: two indices
+    @pytest.mark.parametrize("block, group, t_below, budgets", [
+        (numtheory._HUNT_BLOCK, numtheory._HUNT_GROUP, 2000, HUNT_BUDGETS),
+        (128, 3, 1000, (*HUNT_BUDGETS[:8], 127, 128, 129, 255, 256, 1000)),  # small_hunt's
+        (1002, 3, 1000, (*HUNT_BUDGETS[:9], 999, 1000, 1001, 1002)),  # 1000 k per block
+        (6, 3, 300, HUNT_BUDGETS[:8]),  # 4 k per block: two indices
     ])
-    def test_block_size_that_is_not_a_multiple_of_4(self, small_hunt, monkeypatch,
-                                                    block, t_below, budgets):
+    def test_wheel_hunt_matches_the_reference_hunt(self, small_hunt, monkeypatch,
+                                                   block, group, t_below, budgets):
+        # The reference runs once at the largest budget: its first divisor
+        # q = 2kT + 1 is the answer for every budget from k on, and None below.
         monkeypatch.setattr(numtheory, "_HUNT_BLOCK", block)
-        assert_hunt_matches_reference(t_below, budgets)
+        monkeypatch.setattr(numtheory, "_HUNT_GROUP", group)
+        for t in range(2, t_below):
+            if not is_prime(t):
+                continue
+            q = reference_hunt(t, max(budgets))
+            for k_max in budgets:
+                want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
+                assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
 
     def test_offset_table_follows_the_block_size(self, small_hunt, monkeypatch):
         lengths = []
@@ -360,8 +350,9 @@ class TestMersenne:
         assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
     def test_small_groups_and_blocks_match_the_plain_loop(self, small_hunt, monkeypatch):
-        # Every hit must land first, in the middle, last and alone in a group
-        # of 3, and in a group cut short by the end of a block or budget.
+        # Every hit above 1000 (a smaller one is tried before any group) must land
+        # first, in the middle, last and alone in a group of 3, and in a group cut
+        # short by the end of a block or budget.
         groups = []
         monkeypatch.setattr(numtheory, "prod", lambda g: groups.append(g) or prod(g))
         seen = set()
@@ -372,7 +363,7 @@ class TestMersenne:
             for k_max in (1, 7, 100, 10 ** 4):
                 want = q if q is not None and (q - 1) // (2 * t) <= k_max else None
                 assert smallest_mersenne_factor(t, k_max) == want, (t, k_max)
-                if want is not None:
+                if want is not None and want > numtheory._SIEVE_LIMIT:  # found in a group
                     seen.add((groups[-1].index(want), len(groups[-1])))
         assert {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)} <= seen
 
