@@ -131,7 +131,8 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage messages
             differ = [command for command in sorted(GOLDEN) if not matches(command, GOLDEN[command])]
-        print(*(f"differs: {command}" for command in differ), sep="\n", end="\n" if differ else "")
+        for command in differ:
+            print(f"differs: {command}")
         print(f"{len(GOLDEN) - len(differ)}/{len(GOLDEN)} golden entries match")
         sys.exit(1 if differ else 0)
     DATA.parent.mkdir(exist_ok=True)

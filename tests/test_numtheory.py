@@ -392,18 +392,6 @@ class TestMersenne:
         assert period_facts(15, 10 ** 6) == (None, False, None)
         assert period_facts(2195, 10 ** 6) == (None, False, None)
 
-    def test_a_prime_period_is_tested_once(self, monkeypatch):
-        tested = []
-        monkeypatch.setattr(numtheory, "is_prime", lambda n: tested.append(n) or is_prime(n))
-        numtheory._hunt.cache_clear()
-        for _ in range(2):  # a cache miss, then a hit
-            tested.clear()
-            assert period_facts(11, 10 ** 4) == (10, False, 23)
-            assert tested == [11]
-        tested.clear()
-        assert period_facts(31, 10 ** 4) == (5, True, None)  # a Mersenne period
-        assert tested == [31]
-
     def test_public_functions_reject_a_composite_exponent(self):
         for call in (is_mersenne_prime, lambda t: smallest_mersenne_factor(t, 10),
                      lambda t: mersenne_status(t, 10)):

@@ -96,6 +96,9 @@ def test_build_row_tests_its_prime_period_once(monkeypatch):
         tested.clear()
         assert search.build_row(43).q == 23
         assert tested == [11]
+    tested.clear()
+    assert search.build_row(97).mersenne is True  # T = 31, never hunted
+    assert tested == [31]
 
 
 class TestFlagRow:
