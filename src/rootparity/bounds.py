@@ -31,14 +31,11 @@ def predicted_balance_fracs(eta: Fraction) -> tuple[Fraction, Fraction]:
 
 def predicted_pattern_frac(eta: Fraction, ell: int, w: int) -> Fraction:
     """Predicted frequency of one fixed length-ell pattern of weight w."""
-    eta = Fraction(eta)
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    frac1, frac0 = predicted_balance_fracs(eta)  # checks eta first
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if not 0 <= w <= ell:
         raise ValueError(f"w must lie in [0, {ell}], got {w}")
-    frac1, frac0 = predicted_balance_fracs(eta)
     return frac1 ** w * frac0 ** (ell - w)
 
 

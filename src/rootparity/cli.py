@@ -1,9 +1,9 @@
 """Command-line surface: generate, analyze, patterns, czcheck, tables, scan.
 
 Output formats, for every command: human text (no stability guarantee),
-json-lines (one object per row; integers above 2^53 serialized as
-decimal strings) and csv (fixed header, ratios as 6-place decimals plus
-an exact num/den column).
+json-lines (one object per row; an integer above 2^53, S2 among them, is an
+exact decimal string, even past Python's 4300-digit limit) and csv (fixed
+header; fractions as num/den, plus a 6-place decimal for ratio and analyze's eta).
 
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
 inconsistency or any other fault after the arguments were accepted.
@@ -25,8 +25,6 @@ EXIT_USAGE = 1
 EXIT_DISCREPANCY = 2
 EXIT_INCONSISTENT = 3
 
-_JSON_INT_MAX = 2 ** 53
-
 # Each cap keeps a command at no more than 2^16 records, all held before
 # printing: 2^ell patterns, or 2^(s_max + 1) - 2 sign vectors.
 MAX_ELL = 16
@@ -46,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_int(n):
     # str(Decimal(n)) is exact and, unlike str(n), not capped at 4300 digits
-    return str(Decimal(n)) if n is not None and abs(n) > _JSON_INT_MAX else n
+    return str(Decimal(n)) if n is not None and abs(n) > 2 ** 53 else n
 
 
 def _frac_str(f: Fraction) -> str:
@@ -126,18 +124,20 @@ def _emit_rows(out, fmt, rows):
     _emit(out, fmt, map(row_to_json, rows), _row_text, ROW_CSV_HEADER, _row_csv)
 
 
-def _cmd_generate(args, out):
-    ctx = sequence.build_context(args.p)
-    build = sequence.build_t_sequence if args.variant == "t" else sequence.build_s_sequence
-    doc = {
+def _prime_header(ctx: sequence.PrimeContext) -> dict:
+    return {
         "p": ctx.p,
         "T": ctx.T,
         "eta": _frac_str(ctx.eta),
         "regime": bounds.classify_eta(ctx.eta).regime,
-        "variant": args.variant,
-        # index-ascending; bit n carries weight 2^n in S(2)
-        "bits": build(ctx).bits,
     }
+
+
+def _cmd_generate(args, out):
+    ctx = sequence.build_context(args.p)
+    build = sequence.build_t_sequence if args.variant == "t" else sequence.build_s_sequence
+    # bits are index-ascending; bit n carries weight 2^n in S(2)
+    doc = _prime_header(ctx) | {"variant": args.variant, "bits": build(ctx).bits}
     _emit(out, args.format, [doc], _kv_text, list(doc))
     return EXIT_OK
 
@@ -148,10 +148,7 @@ def _analyze_doc(p: int, factor_k_max: int) -> dict:
     bal = sequence.balance(seq, ctx)
     rep = complexity.full_report(ctx, factor_budget=factor_k_max, seq=seq)
     return {
-        "p": ctx.p,
-        "T": ctx.T,
-        "eta": _frac_str(ctx.eta),
-        "regime": bounds.classify_eta(ctx.eta).regime,
+        **_prime_header(ctx),
         "n0": bal.n0,
         "n1": bal.n1,
         "predicted_frac1": _frac_str(bal.predicted_frac1),
@@ -203,11 +200,10 @@ def _patterns_text(doc: dict) -> str:
 
 def _cmd_patterns(args, out):
     ctx = sequence.build_context(args.p)
+    if args.ell > ctx.T:
+        raise _UsageError(f"ell must lie in [1, {ctx.T}], got {args.ell}")
     seq = sequence.build_s_sequence(ctx)
-    try:
-        rep = sequence.pattern_stats(seq, ctx, args.ell)
-    except ValueError as e:  # ell > T
-        raise _UsageError(e) from None
+    rep = sequence.pattern_stats(seq, ctx, args.ell)
     doc = {
         "p": ctx.p,
         "T": ctx.T,
@@ -246,15 +242,8 @@ def _cmd_czcheck(args, out):
     for s in range(1, args.s_max + 1):
         for eps in product((1, -1), repeat=s):
             chk = sequence.cz_bound_check(args.p, list(eps))
-            docs.append({
-                "p": args.p,
-                "epsilons": list(eps),
-                "m": chk.m,
-                "main_term": chk.main_term,
-                "bound": chk.bound,
-                "holds": chk.holds,
-            })
-    header = ["p", "epsilons", "m", "main_term", "bound", "holds"]
+            docs.append({"p": args.p, "epsilons": list(eps), **chk._asdict()})
+    header = ["p", "epsilons", *sequence.CzCheck._fields]
     _emit(out, args.format, docs, _czcheck_text, header, _czcheck_csv)
     return EXIT_OK if all(doc["holds"] for doc in docs) else EXIT_INCONSISTENT
 
@@ -339,66 +328,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rootparity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["text", "json-lines", "csv"],
-                       default="text")
+    def command(name, func, help, budget=None):
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--format", choices=["text", "json-lines", "csv"],
+                         default="text")
+        if budget is not None:
+            cmd.add_argument("--factor-k-max", type=_at_least(0), default=budget)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    gen = sub.add_parser("generate", help="emit one period of the sequence")
+    gen = command("generate", _cmd_generate, "emit one period of the sequence")
     gen.add_argument("--p", type=_prime_p, required=True)
     gen.add_argument("--variant", choices=["s", "t"], default="s")
-    add_format(gen)
-    gen.set_defaults(func=_cmd_generate)
 
-    ana = sub.add_parser("analyze", help="balance + complexity report")
+    ana = command("analyze", _cmd_analyze, "balance + complexity report",
+                  DEFAULT_FACTOR_K_MAX)
     grp = ana.add_mutually_exclusive_group(required=True)
     grp.add_argument("--p", type=_prime_p)
     grp.add_argument("--p-range", type=_p_range)
-    ana.add_argument("--factor-k-max", type=_at_least(0), default=DEFAULT_FACTOR_K_MAX)
-    add_format(ana)
-    ana.set_defaults(func=_cmd_analyze)
 
-    pat = sub.add_parser("patterns", help="pattern distribution for one p")
+    pat = command("patterns", _cmd_patterns, "pattern distribution for one p")
     pat.add_argument("--p", type=_prime_p, required=True)
     pat.add_argument("--ell", type=_at_least(1, MAX_ELL), required=True,
                      help=f"window length, 1 to {MAX_ELL} and at most T; all "
                      f"2^ell patterns are held and printed, at most 2^{MAX_ELL}")
-    add_format(pat)
-    pat.set_defaults(func=_cmd_patterns)
 
-    cz = sub.add_parser("czcheck", help="block-statistic bound check")
+    cz = command("czcheck", _cmd_czcheck, "block-statistic bound check")
     cz.add_argument("--p", type=_prime_p, required=True)
     cz.add_argument("--s-max", type=_at_least(1, MAX_S_MAX), default=3,
                     help=f"longest block, 1 to {MAX_S_MAX} and below p (default "
                     f"3); all 2^(s_max + 1) - 2 sign vectors are held and "
                     f"printed, fewer than 2^{MAX_S_MAX + 1}")
-    add_format(cz)
-    cz.set_defaults(func=_cmd_czcheck)
 
-    tab = sub.add_parser("tables", help="regenerate the reference tables")
+    tab = command("tables", _cmd_tables, "regenerate the reference tables",
+                  DEFAULT_FACTOR_K_MAX)
     tab.add_argument("--which", type=int, choices=[1, 2], required=True)
-    tab.add_argument("--factor-k-max", type=_at_least(0), default=DEFAULT_FACTOR_K_MAX)
-    add_format(tab)
-    tab.set_defaults(func=_cmd_tables)
 
-    sc = sub.add_parser("scan", help="scan a prime range for candidates")
+    sc = command("scan", _cmd_scan, "scan a prime range for candidates",
+                 DEFAULT_SCAN_FACTOR_K_MAX)
     sc.add_argument("--p-min", type=_at_least(11), required=True)
     sc.add_argument("--p-max", type=_range_end, required=True)
     sc.add_argument("--t-prime", action="store_true")
     sc.add_argument("--no-flags", action="store_true")
     sc.add_argument("--two-primitive-root", action="store_true")
-    sc.add_argument("--factor-k-max", type=_at_least(0),
-                    default=DEFAULT_SCAN_FACTOR_K_MAX)
-    add_format(sc)
-    sc.set_defaults(func=_cmd_scan)
 
     return parser
 
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
     try:

@@ -81,6 +81,9 @@ def test_pattern_frac_range_violations():
         predicted_pattern_frac(Fraction(1, 4), 2, 3)
     with pytest.raises(ValueError):
         predicted_pattern_frac(Fraction(1, 4), 0, 0)
+    # eta is checked before ell and w
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\), got 3/2$"):
+        predicted_pattern_frac(Fraction(3, 2), 0, 5)
 
 
 def test_classify_fermat_prime_is_large():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -296,6 +297,65 @@ class TestEmptyRanges:
         assert out.getvalue() == "a,b\r\n"
 
 
+FORMAT = {"--format": (False, "text", ("text", "json-lines", "csv"))}
+REQUIRED = (True, None, None)
+
+
+def _budget(default):
+    return {"--factor-k-max": (False, default, None)}
+
+
+# Each command's options as {option: (required, default, choices)}, help left
+# out, and the option sets of its required mutually exclusive groups.
+PARSER_SURFACE = {
+    "generate": ({"--p": REQUIRED, "--variant": (False, "s", ("s", "t")), **FORMAT},
+                 []),
+    "analyze": ({"--p": (False, None, None), "--p-range": (False, None, None),
+                 **_budget(10 ** 6), **FORMAT},
+                [{"--p", "--p-range"}]),
+    "patterns": ({"--p": REQUIRED, "--ell": REQUIRED, **FORMAT}, []),
+    "czcheck": ({"--p": REQUIRED, "--s-max": (False, 3, None), **FORMAT}, []),
+    "tables": ({"--which": (True, None, (1, 2)), **_budget(10 ** 6), **FORMAT}, []),
+    "scan": ({"--p-min": REQUIRED, "--p-max": REQUIRED,
+              "--t-prime": (False, False, None), "--no-flags": (False, False, None),
+              "--two-primitive-root": (False, False, None),
+              **_budget(10 ** 4), **FORMAT},
+             []),
+}
+
+
+class TestParserSurface:
+    @staticmethod
+    def _commands():
+        sub, = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_the_six_commands(self):
+        assert set(self._commands()) == set(PARSER_SURFACE)
+
+    @pytest.mark.parametrize("command", PARSER_SURFACE)
+    def test_options_defaults_choices_and_required_flags(self, command):
+        parser = self._commands()[command]
+        options = {
+            action.option_strings[0]: (
+                action.required, action.default,
+                None if action.choices is None else tuple(action.choices))
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert all(len(a.option_strings) == 1 for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction))
+        groups = [{a.option_strings[0] for a in g._group_actions}
+                  for g in parser._mutually_exclusive_groups if g.required]
+        assert (options, groups) == PARSER_SURFACE[command]
+
+    @pytest.mark.parametrize("command", PARSER_SURFACE)
+    def test_help_exits_0(self, command, capsys):
+        assert run([command, "--help"])[0] == cli.EXIT_OK
+        assert "--format" in capsys.readouterr().out
+
+
 class TestUsageErrors:
     def test_missing_command(self):
         code, _ = run([])
@@ -403,6 +463,15 @@ class TestInternalFaults:
         assert run(["analyze", "--p", "103"]) == (cli.EXIT_INCONSISTENT, "")
         assert capsys.readouterr().err.splitlines() == [
             "internal error in analyze: ValueError('no factors today')"]
+
+    def test_value_error_inside_patterns_exits_3(self, monkeypatch, capsys):
+        def predicted_pattern_frac(eta, ell, w):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(sequence, "predicted_pattern_frac", predicted_pattern_frac)
+        assert run(["patterns", "--p", "13", "--ell", "2"]) == (cli.EXIT_INCONSISTENT, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error in patterns: ValueError('internal bug')"]
 
     def test_memory_error_inside_generate_exits_3(self, monkeypatch, capsys):
         def build_context(p):
