@@ -24,7 +24,6 @@ from .numtheory import (
     factorize,
     is_mersenne_prime,
     is_prime,
-    mersenne_status,
     multiplicative_order,
     primitive_roots,
     smallest_mersenne_factor,

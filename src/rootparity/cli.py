@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -378,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        with redirect_stdout(out):  # --help; usage errors go to stderr
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
     try:

@@ -228,6 +228,8 @@ def full_report(
     """Assemble every exact value and lower bound for the parity sequence.
 
     seq is build_s_sequence(ctx), built here unless the caller has it.
+    factor_budget is period_facts' hunt budget k_max: by default
+    DEFAULT_SCAN_FACTOR_K_MAX (10^4), where `analyze` passes 10^6.
     L_lower and C_lower are the paper's bounds for a non-constant sequence
     and are reported whatever the sequence is. A constant sequence falls
     below them: at p = 19 the sequence is all ones, so L = 1 and C = 0

@@ -252,8 +252,8 @@ def is_mersenne_prime(T: int) -> bool | None:
     return _mersenne_verdict(T)
 
 
-# The public Mersenne functions test T once with _check_exponent and call the
-# private helpers below, which take T to be prime; period_facts does the same.
+# The public Mersenne functions and period_facts test T for primality once and
+# call the private helpers below, which take T to be prime.
 def _check_exponent(T: int) -> None:
     if not is_prime(T):
         raise ValueError(f"Mersenne exponent must be prime, got {T}")
@@ -269,7 +269,9 @@ def _wheel(n: int) -> tuple[tuple[int, ...], bytearray]:
     4m + e for index 2m + e, and n zero bytes to clear sieve slices from.
     The zeros are never written: a slice of them is a new bytearray, which
     a bytearray slice assignment takes without another copy."""
-    return tuple(2 * i - (i & 1) for i in range(n)), bytearray(n)
+    offsets = [0] * n  # for odd n, the last index has e = 0
+    offsets[0::2], offsets[1::2] = range(0, 2 * n, 4), range(1, 2 * n - 1, 4)
+    return tuple(offsets), bytearray(n)
 
 
 def smallest_mersenne_factor(T: int, k_max: int) -> int | None:
@@ -347,33 +349,22 @@ def _hunt(T: int, k_max: int) -> int | None:
     return None
 
 
-def mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
-    """(2^T - 1 is prime, its smallest prime factor within the hunt budget).
-
-    T must be prime.  A Mersenne prime of the table is never hunted: its
-    only prime factor is 2^T - 1 itself (T = 3 would give q = 7), so it
-    reads (True, None).  Every other T is hunted, and a found factor gives
-    (False, q).  With no factor in the budget, a T the table rules out reads
-    (False, None), and a T above the table bound (None, None): undecided.
-    """
-    _check_exponent(T)
-    return _mersenne_status(T, k_max)
-
-
-def _mersenne_status(T: int, k_max: int) -> tuple[bool | None, int | None]:
-    mersenne = _mersenne_verdict(T)
-    if mersenne:
-        return True, None
-    q = _hunt(T, k_max)
-    return (mersenne if q is None else False), q
-
-
 def period_facts(T: int, k_max: int) -> tuple[int | None, bool | None, int | None]:
-    """ord_T(2) and mersenne_status(T, k_max) for a prime period T, which decide
-    maximal complexity; a composite T reads (None, False, None), never hunted."""
+    """(ord_T(2), 2^T - 1 is prime, its smallest prime factor q within the hunt
+    budget k_max): the facts about a period T that decide maximal complexity.
+
+    A composite T reads (None, False, None), never hunted.  A Mersenne prime
+    of the table is not hunted either: its only prime factor is 2^T - 1
+    itself (T = 3 would give q = 7), so it reads (ord, True, None).  Every
+    other prime T is hunted, and a found factor gives (ord, False, q).  With
+    none in the budget, a T the table rules out reads (ord, False, None), and
+    a T above the table bound (ord, None, None): undecided.
+    """
     if not is_prime(T):
         return None, False, None
-    return multiplicative_order(2, T), *_mersenne_status(T, k_max)
+    order, mersenne = multiplicative_order(2, T), _mersenne_verdict(T)
+    q = None if mersenne else _hunt(T, k_max)
+    return order, (mersenne if q is None else False), q
 
 
 def verify_mersenne_factor(T: int, q: int) -> bool:

@@ -99,14 +99,8 @@ def build_row(p: int, factor_k_max: int = DEFAULT_SCAN_FACTOR_K_MAX) -> SearchRo
     """Full quality row for one prime p, factor hunt within budget."""
     T = euler_phi(p - 1) - 1
     ord_t, mersenne, q = period_facts(T, factor_k_max)
-    return SearchRow(
-        T=T,
-        p=p,
-        ord_T_2=ord_t,
-        q=q,
-        mersenne=mersenne,
-        q_source=None if q is None else "discovered",
-    )
+    return SearchRow(T=T, p=p, ord_T_2=ord_t, q=q, mersenne=mersenne,
+                     q_source=None if q is None else "discovered")
 
 
 def _diff_fixture(

@@ -179,6 +179,12 @@ def block_count(p: int, epsilons: list[int]) -> int:
     return _block_windows(p, s)[int(bytes(e == 1 for e in epsilons).translate(_TO_TEXT), 2)]
 
 
+# czcheck checks up to 2^16 - 2 sign vectors of one p, all with the same tau.
+@lru_cache(maxsize=1)
+def _divisor_count(n: int) -> int:
+    return factorize(n).divisor_count
+
+
 def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     """Check |M - p eta^z (1-eta)^(s-z)| <= 2^(s-z+1) s sqrt(p) log(p) tau^s.
 
@@ -188,7 +194,7 @@ def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     m = block_count(p, epsilons)
     s = len(epsilons)
     z = sum(1 for e in epsilons if e == 1)
-    tau = factorize(p - 1).divisor_count
+    tau = _divisor_count(p - 1)
     eta = build_context(p).phi / p
     main_term = p * eta ** z * (1 - eta) ** (s - z)
     bound = 2 ** (s - z + 1) * s * math.sqrt(p) * math.log(p) * tau ** s

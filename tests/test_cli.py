@@ -352,8 +352,9 @@ class TestParserSurface:
 
     @pytest.mark.parametrize("command", PARSER_SURFACE)
     def test_help_exits_0(self, command, capsys):
-        assert run([command, "--help"])[0] == cli.EXIT_OK
-        assert "--format" in capsys.readouterr().out
+        code, text = run([command, "--help"])
+        assert code == cli.EXIT_OK and "--format" in text
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

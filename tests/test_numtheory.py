@@ -16,7 +16,6 @@ from rootparity.numtheory import (
     factorize,
     is_mersenne_prime,
     is_prime,
-    mersenne_status,
     multiplicative_order,
     period_facts,
     primitive_roots,
@@ -289,10 +288,8 @@ class TestMersenne:
         monkeypatch.setattr(numtheory, "_MERSENNE_TABLE_BOUND", 100)
         assert [is_mersenne_prime(t) for t in (89, 107, 127, 131)] == [
             True, None, None, None]
-        assert mersenne_status(131, 10 ** 4) == (False, 263)
-        assert mersenne_status(107, 10 ** 4) == (None, None)  # 2^107 - 1 is prime
         assert period_facts(131, 10 ** 4) == (130, False, 263)
-        assert period_facts(107, 10 ** 4) == (106, None, None)
+        assert period_facts(107, 10 ** 4) == (106, None, None)  # 2^107 - 1 is prime
 
     def test_sieved_hunt_matches_the_unsieved_loop(self):
         # The unsieved loop's first divisor within 10^4 candidates gives the
@@ -341,6 +338,12 @@ class TestMersenne:
             assert lengths[-1] == want, block  # never a table left from the last size
         assert numtheory._wheel(64)[0] == tuple(4 * m + e for m in range(32) for e in (0, 1))
 
+    @pytest.mark.parametrize("n", [2, 6, 128, 1002, 32768, 1001])
+    def test_offset_table_by_slices_is_the_index_formula(self, n):
+        offsets, zeros = numtheory._wheel.__wrapped__(n)
+        assert offsets == tuple(2 * i - (i & 1) for i in range(n))
+        assert zeros == bytearray(n)
+
     def test_importing_the_cli_builds_no_offset_table(self):
         code = ("import rootparity.cli, rootparity.numtheory as n; "
                 "print(n._wheel.cache_info().currsize)")
@@ -376,9 +379,6 @@ class TestMersenne:
 
     def test_mersenne_period_is_not_hunted(self):
         assert smallest_mersenne_factor(3, 1) == 7  # 2^3 - 1 itself
-        assert mersenne_status(3, 10 ** 6) == (True, None)
-        assert mersenne_status(11, 10 ** 6) == (False, 23)
-        assert mersenne_status(199, 100) == (False, None)
         assert period_facts(3, 10 ** 6) == (2, True, None)
         assert period_facts(11, 10 ** 6) == (10, False, 23)
         assert period_facts(199, 100) == (99, False, None)
@@ -393,8 +393,7 @@ class TestMersenne:
         assert period_facts(2195, 10 ** 6) == (None, False, None)
 
     def test_public_functions_reject_a_composite_exponent(self):
-        for call in (is_mersenne_prime, lambda t: smallest_mersenne_factor(t, 10),
-                     lambda t: mersenne_status(t, 10)):
+        for call in (is_mersenne_prime, lambda t: smallest_mersenne_factor(t, 10)):
             with pytest.raises(ValueError, match="must be prime, got 15"):
                 call(15)
 

@@ -321,3 +321,12 @@ class TestCzBound:
         chk = cz_bound_check(11, [1, 1])
         assert chk.m == 2
         assert chk.holds
+
+    @pytest.mark.parametrize("s_max", ["1", "6"])
+    def test_czcheck_factors_p_minus_1_once_whatever_s_max(self, s_max, monkeypatch):
+        calls = []
+        factorize = sequence.factorize
+        monkeypatch.setattr(sequence, "factorize", lambda n: calls.append(n) or factorize(n))
+        sequence._divisor_count.cache_clear()
+        assert cli.run(["czcheck", "--p", "103", "--s-max", s_max], out=io.StringIO()) == 0
+        assert calls == [102]
