@@ -5,6 +5,13 @@ json-lines (one object per row; an integer above 2^53, S2 among them, is an
 exact decimal string, even past Python's 4300-digit limit) and csv (fixed
 header; fractions as num/den, plus a 6-place decimal for ratio and analyze's eta).
 
+A record holds the library's values, Fractions and int-keyed dicts among
+them, until a writer renders them: text and csv print str(Fraction) and json
+_frac_str, both num/den, as every such fraction lies in (0, 1).  Only big
+integers are rendered as a record is built, by _json_int, since text and csv
+meet str(int)'s 4300-digit limit too.  Scan and table rows are the exception:
+row_to_json gives json-ready values.
+
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
 inconsistency or any other fault after the arguments were accepted.
 """
@@ -71,10 +78,10 @@ ROW_CSV_HEADER = [
     "mersenne", "flags", "q_source",
 ]
 
+# a prime's header, eta_frac after eta, then the reports' fields but the second T
 ANALYZE_CSV_HEADER = [
-    "p", "T", "eta", "eta_frac", "regime", "n0", "n1",
-    "predicted_frac1", "predicted_frac0", "L", "L_lower", "s1", "epsilon",
-    "S2", "C", "C_lower",
+    "p", "T", "eta", "eta_frac", "regime", *sequence.BalanceReport._fields,
+    *(f for f in complexity.ComplexityReport._fields if f != "T"),
 ]
 
 
@@ -90,7 +97,7 @@ def _emit(out, fmt, docs, text, csv_header, csv_rows=None):
         writer.writerow(csv_header)
     for doc in docs:
         if fmt == "json-lines":
-            print(json.dumps(doc), file=out)
+            print(json.dumps(doc, default=_frac_str), file=out)
         elif fmt == "csv":
             writer.writerows(csv_rows(doc) if csv_rows else [doc.values()])
         else:
@@ -129,7 +136,7 @@ def _prime_header(ctx: sequence.PrimeContext) -> dict:
     return {
         "p": ctx.p,
         "T": ctx.T,
-        "eta": _frac_str(ctx.eta),
+        "eta": ctx.eta,
         "regime": bounds.classify_eta(ctx.eta).regime,
     }
 
@@ -148,26 +155,14 @@ def _analyze_doc(p: int, factor_k_max: int) -> dict:
     seq = sequence.build_s_sequence(ctx)
     bal = sequence.balance(seq, ctx)
     rep = complexity.full_report(ctx, factor_budget=factor_k_max, seq=seq)
-    return {
-        **_prime_header(ctx),
-        "n0": bal.n0,
-        "n1": bal.n1,
-        "predicted_frac1": _frac_str(bal.predicted_frac1),
-        "predicted_frac0": _frac_str(bal.predicted_frac0),
-        "L": rep.L,
-        "L_lower": rep.L_lower,
-        "s1": rep.s1,
-        "epsilon": rep.epsilon,
-        "S2": _json_int(rep.S2),
-        "C": rep.C,
-        "C_lower": rep.C_lower,
-    }
+    # the report's T repeats the header's and keeps the header's place
+    return {**_prime_header(ctx), **bal._asdict(), **rep._asdict(), "S2": _json_int(rep.S2)}
 
 
 def _analyze_csv(doc: dict) -> list:
     # the eta column carries a 6-place decimal ahead of the exact fraction
     p, T, *rest = doc.values()
-    return [[p, T, f"{float(Fraction(doc['eta'])):.6f}", *rest]]
+    return [[p, T, f"{float(doc['eta']):.6f}", *rest]]
 
 
 def _cmd_analyze(args, out):
@@ -185,7 +180,7 @@ def _cmd_analyze(args, out):
 def _pattern_rows(doc: dict) -> list:
     rows = []
     for pat, count in sorted(doc["counts"].items()):
-        w = str(pat.count("1"))
+        w = pat.count("1")
         rows.append([pat, w, count, doc["predicted_per_pattern"][w]])
     return rows
 
@@ -195,7 +190,7 @@ def _patterns_text(doc: dict) -> str:
              f"windows = {doc['windows']}"]
     for pat, _, count, predicted in _pattern_rows(doc):
         lines.append(f"  {pat}  count={count}  "
-                     f"predicted~{float(Fraction(predicted)):.4f}")
+                     f"predicted~{float(predicted):.4f}")
     return "\n".join(lines)
 
 
@@ -211,10 +206,8 @@ def _cmd_patterns(args, out):
         "ell": rep.ell,
         "windows": seq.period - args.ell + 1,
         "counts": rep.counts,
-        "weight_counts": {str(w): c for w, c in rep.weight_counts.items()},
-        "predicted_per_pattern": {
-            str(w): _frac_str(f) for w, f in rep.predicted.items()
-        },
+        "weight_counts": rep.weight_counts,
+        "predicted_per_pattern": rep.predicted,
     }
     header = ["pattern", "weight", "count", "predicted_per_pattern"]
     _emit(out, args.format, [doc], _patterns_text, header, _pattern_rows)

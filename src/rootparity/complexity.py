@@ -46,9 +46,9 @@ class TwoAdicResult(NamedTuple):
 class ComplexityReport(NamedTuple):
     T: int
     L: int
+    L_lower: int  # the paper's bound; holds only for a non-constant sequence
     s1: int
     epsilon: int
-    L_lower: int  # the paper's bound; holds only for a non-constant sequence
     S2: int
     C: int
     # The paper's bound, which holds only for a non-constant sequence; None
@@ -260,9 +260,9 @@ def full_report(
     return ComplexityReport(
         T=ctx.T,
         L=l_gcd,
+        L_lower=lc_lower_bound(factorize(ctx.T), eps),
         s1=s1,
         epsilon=eps,
-        L_lower=lc_lower_bound(factorize(ctx.T), eps),
         S2=two_adic.S2,
         C=two_adic.C,
         C_lower=ctx.T - 1 if mersenne else None if q is None else c_lower_bound(q),

@@ -40,7 +40,10 @@ class BitSequence(NamedTuple):
     """One period of a binary sequence as "0"/"1" text: bits[n] is s_n."""
 
     bits: str
-    period: int
+
+    @property
+    def period(self) -> int:
+        return len(self.bits)
 
 
 class BalanceReport(NamedTuple):
@@ -88,13 +91,13 @@ def build_s_sequence(ctx: PrimeContext) -> BitSequence:
     parity = bytes(compress(cycle(b"\0\1"), ctx.is_root))
     s = int.from_bytes(parity[:-1], "big") ^ int.from_bytes(parity[1:], "big")
     bits = s.to_bytes(ctx.T, "big").translate(_TO_TEXT).decode()
-    return BitSequence(bits=bits, period=ctx.T)
+    return BitSequence(bits)
 
 
 def build_t_sequence(ctx: PrimeContext) -> BitSequence:
     """Indicator of consecutive primitive roots at distance exactly 1."""
     adjacent = bytes(compress(ctx.is_root[1:], ctx.is_root))[:ctx.T]  # is g + 1 a root
-    return BitSequence(bits=adjacent.translate(_TO_TEXT).decode(), period=ctx.T)
+    return BitSequence(adjacent.translate(_TO_TEXT).decode())
 
 
 def balance(seq: BitSequence, ctx: PrimeContext) -> BalanceReport:

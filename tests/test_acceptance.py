@@ -109,7 +109,7 @@ def test_criterion_4_lc_oracle_equivalence():
     for _ in range(500):
         t = rng.randrange(1, 128) * 2 + 1  # odd period <= 255
         bits = "".join(str(rng.randint(0, 1)) for _ in range(t))
-        seq = BitSequence(bits=bits, period=t)
+        seq = BitSequence(bits=bits)
         if linear_complexity_bm(seq) != linear_complexity_gcd(seq):
             mismatches += 1
     report(4, mismatches == 0, f"{mismatches} mismatches")
@@ -213,7 +213,7 @@ def test_criterion_9_pattern_convergence(big_primes):
 
 
 def test_criterion_10_degenerate_single_one():
-    seq = BitSequence(bits="1" + "0" * 30, period=31)
+    seq = BitSequence(bits="1" + "0" * 30)
     L = linear_complexity_gcd(seq)
     C = two_adic_complexity(seq).C
     report(10, L == 31 and C == 30, f"L={L} C={C}")

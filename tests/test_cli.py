@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,20 @@ class TestAnalyze:
         assert [r[0] for r in rows[1:]] == [
             str(p) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
         ]
+
+    def test_csv_header_and_text_keys_are_the_record_keys(self):
+        code, text = run(["analyze", "--p", "103", "--format", "json-lines"])
+        assert code == 0
+        keys = list(json.loads(text))
+        header = keys.copy()
+        header.insert(keys.index("eta") + 1, "eta_frac")
+        assert header == cli.ANALYZE_CSV_HEADER
+        code, text = run(["analyze", "--p", "103"])
+        assert code == 0
+        assert [line.split(" = ")[0] for line in text.splitlines() if line] == keys
+        code, text = run(["analyze", "--p", "103", "--format", "csv"])
+        assert code == 0
+        assert [len(row) for row in csv.reader(io.StringIO(text))] == [len(header)] * 2
 
     def test_range_primes_are_tested_as_the_records_are_written(self, monkeypatch):
         class ClosedOut(io.StringIO):
@@ -153,6 +168,26 @@ class TestCzCheck:
         assert [r[1] for r in rows[1:]] == ["+", "-", "++", "+-", "-+", "--"]
         assert [r[2] for r in rows[1:3]] == ["4", "8"]
         assert all(r[0] == "13" and r[5] == "True" for r in rows[1:])
+
+    def test_json_lines_and_csv_carry_the_checks_exactly(self):
+        # both sides compute the floats on the same libm
+        vectors = [list(eps) for s in (1, 2, 3) for eps in product((1, -1), repeat=s)]
+        want = [sequence.cz_bound_check(103, eps) for eps in vectors]
+        argv = ["czcheck", "--p", "103", "--s-max", "3", "--format"]
+        code, text = run([*argv, "json-lines"])
+        assert code == 0
+        docs = [json.loads(line) for line in text.splitlines()]
+        assert [(d["p"], d["epsilons"]) for d in docs] == [(103, eps) for eps in vectors]
+        assert [sequence.CzCheck(d["m"], d["main_term"], d["bound"], d["holds"])
+                for d in docs] == want
+        assert all(type(d["holds"]) is bool for d in docs)
+        code, text = run([*argv, "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["epsilons"] for r in rows] == [cli._signs(eps) for eps in vectors]
+        assert [sequence.CzCheck(int(r["m"]), float(r["main_term"]), float(r["bound"]),
+                                 {"True": True, "False": False}[r["holds"]])
+                 for r in rows] == want
 
     @pytest.mark.parametrize("s_max", ["0", "13"])
     def test_s_max_outside_1_to_p_minus_1_fails_before_any_check(

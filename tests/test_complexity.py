@@ -24,7 +24,7 @@ from rootparity.sequence import BitSequence, build_context, build_s_sequence
 
 def bitseq(bits):
     """The 0/1 ints bits as a BitSequence, whose bits are "0"/"1" text."""
-    return BitSequence(bits="".join(map(str, bits)), period=len(bits))
+    return BitSequence(bits="".join(map(str, bits)))
 
 
 def bit_serial_bm(bits):
@@ -165,7 +165,7 @@ class TestBmDroppedBitsAgainstFullRemainders:
                 bits = block * rng.randrange(1, 50)
             else:
                 bits = ("0" if kind == "all zeros" else "1") * t
-            seq = BitSequence(bits=bits, period=len(bits))
+            seq = BitSequence(bits=bits)
             assert linear_complexity_bm(seq) == reference_bm(seq), (kind, bits)
 
 

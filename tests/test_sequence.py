@@ -130,6 +130,13 @@ class TestSequences:
             assert build_s_sequence(ctx).period == ctx.T
             assert build_t_sequence(ctx).period == ctx.T
 
+    def test_period_is_the_length_of_bits(self):
+        assert BitSequence("0110").period == 4
+        with pytest.raises(TypeError):
+            BitSequence(bits="0110", period=3)
+        with pytest.raises(TypeError):
+            BitSequence("0110", 3)
+
     def test_parity_telescope_to_10000(self):
         # mod-2 sum of the bits collapses to (first root + last root) mod 2
         for p in range(11, 10001):
@@ -229,7 +236,7 @@ class TestPatternStats:
         short = ["".join(str(rng.getrandbits(1)) for _ in range(n)) for n in range(ell, 41)]
         patterns = ["".join(pat) for pat in product("01", repeat=ell)]
         for text in [random_bits(ell, 5000)[1], *short]:
-            rep = pattern_stats(BitSequence(bits=text, period=len(text)), ctx, ell)
+            rep = pattern_stats(BitSequence(bits=text), ctx, ell)
             naive = Counter(text[i:i + ell] for i in range(len(text) - ell + 1))
             assert list(rep.counts.items()) == [(pat, naive[pat]) for pat in patterns]
             assert rep.weight_counts == {
