@@ -9,8 +9,8 @@ A record holds the library's values, Fractions and int-keyed dicts among
 them, until a writer renders them: text and csv print str(Fraction) and json
 _frac_str, both num/den, as every such fraction lies in (0, 1).  Only big
 integers are rendered as a record is built, by _json_int, since text and csv
-meet str(int)'s 4300-digit limit too.  Scan and table rows are the exception:
-row_to_json gives json-ready values.
+meet str(int)'s 4300-digit limit too.  A scan or table row's record is
+SearchRow.record().
 
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
 inconsistency or any other fault after the arguments were accepted.
@@ -59,18 +59,9 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def row_to_json(row: search.SearchRow) -> dict:
-    return {
-        "T": _json_int(row.T),
-        "p": _json_int(row.p),
-        "ord": _json_int(row.ord_T_2),
-        "q": _json_int(row.q),
-        "log2q": row.log2q,
-        "ratio": _frac_str(row.ratio),
-        "mersenne": row.mersenne,
-        "flags": sorted(row.flags),
-        "q_source": row.q_source,
-    }
+def _row_doc(row: search.SearchRow) -> dict:
+    doc = row.record()
+    return doc | {k: _json_int(doc[k]) for k in ("T", "p", "ord", "q")}
 
 
 ROW_CSV_HEADER = [
@@ -78,10 +69,10 @@ ROW_CSV_HEADER = [
     "mersenne", "flags", "q_source",
 ]
 
-# a prime's header, eta_frac after eta, then the reports' fields but the second T
+# a prime's header, eta_frac after eta, then the reports' fields
 ANALYZE_CSV_HEADER = [
     "p", "T", "eta", "eta_frac", "regime", *sequence.BalanceReport._fields,
-    *(f for f in complexity.ComplexityReport._fields if f != "T"),
+    *complexity.ComplexityReport._fields,
 ]
 
 
@@ -114,7 +105,7 @@ def _row_text(doc: dict) -> str:
     return (
         f"T={doc['T']} p={doc['p']} ord={doc['ord']} q={q} "
         f"log2q={log2q} ratio={doc['ratio']} "
-        f"(~{float(Fraction(doc['ratio'])):.3f}) mersenne={doc['mersenne']} "
+        f"(~{float(doc['ratio']):.3f}) mersenne={doc['mersenne']} "
         f"flags={','.join(doc['flags']) or '-'}"
     )
 
@@ -122,14 +113,14 @@ def _row_text(doc: dict) -> str:
 def _row_csv(doc: dict) -> list:
     return [[
         doc["T"], doc["p"], doc["ord"], doc["q"], doc["log2q"],
-        f"{float(Fraction(doc['ratio'])):.6f}", doc["ratio"],
+        f"{float(doc['ratio']):.6f}", doc["ratio"],
         None if doc["mersenne"] is None else int(doc["mersenne"]),
         "|".join(doc["flags"]), doc["q_source"],
     ]]
 
 
 def _emit_rows(out, fmt, rows):
-    _emit(out, fmt, map(row_to_json, rows), _row_text, ROW_CSV_HEADER, _row_csv)
+    _emit(out, fmt, map(_row_doc, rows), _row_text, ROW_CSV_HEADER, _row_csv)
 
 
 def _prime_header(ctx: sequence.PrimeContext) -> dict:
@@ -155,7 +146,6 @@ def _analyze_doc(p: int, factor_k_max: int) -> dict:
     seq = sequence.build_s_sequence(ctx)
     bal = sequence.balance(seq, ctx)
     rep = complexity.full_report(ctx, factor_budget=factor_k_max, seq=seq)
-    # the report's T repeats the header's and keeps the header's place
     return {**_prime_header(ctx), **bal._asdict(), **rep._asdict(), "S2": _json_int(rep.S2)}
 
 

@@ -44,7 +44,6 @@ class TwoAdicResult(NamedTuple):
 
 
 class ComplexityReport(NamedTuple):
-    T: int
     L: int
     L_lower: int  # the paper's bound; holds only for a non-constant sequence
     s1: int
@@ -129,7 +128,7 @@ def s_one(seq: BitSequence) -> int:
 
 def epsilon_of(p: int) -> int:
     """1 when p = 1 (mod 4), else 0."""
-    if p == 2 or p % 2 == 0:
+    if p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     return 1 if p % 4 == 1 else 0
 
@@ -258,7 +257,6 @@ def full_report(
     eps = epsilon_of(ctx.p)
     two_adic = two_adic_complexity(seq)
     return ComplexityReport(
-        T=ctx.T,
         L=l_gcd,
         L_lower=lc_lower_bound(factorize(ctx.T), eps),
         s1=s1,

@@ -65,8 +65,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite n (n odd, not a prime power of 2)."""
-    if n % 2 == 0:
-        return 2
     y0 = 2
     c = 1
     while True:
@@ -314,7 +312,13 @@ def _hunt(T: int, k_max: int) -> int | None:
     step = 2 * T
     s = 0 if T % 4 == 3 else 3
     # A factor below _SIEVE_LIMIT is a sieve prime r = 2kT + 1, which the
-    # sieve drops, so these are tried first.
+    # sieve drops, so these are tried first.  Sparing each such r from the
+    # sieve instead gives the same answers (every prime T < 6000, k_max 0 to
+    # 10^4) but is slower, as a small T with a factor below 1000 then pays
+    # the sieve set-up: the hunts of the 488 prime T < 3500 at k_max 10^4
+    # took a median of 0.155 s with this pass and 0.163 s without, and those
+    # of the 20 among them with such a factor 0.06 ms and 3.2 ms (11
+    # interleaved runs in one process, Python 3.11.7, 2 vCPU).
     for r in _SIEVE_PRIMES:
         if r % step == 1 and r // step <= k_max and pow(2, T, r) == 1:
             return r

@@ -57,6 +57,14 @@ class SearchRow(NamedTuple):
             flags.add(FLAG_LARGE_RATIO)
         return frozenset(flags)
 
+    def record(self) -> dict:
+        """The row under its printed names, in print order; flags sorted."""
+        return {
+            "T": self.T, "p": self.p, "ord": self.ord_T_2, "q": self.q,
+            "log2q": self.log2q, "ratio": self.ratio, "mersenne": self.mersenne,
+            "flags": sorted(self.flags), "q_source": self.q_source,
+        }
+
 
 class Discrepancy(NamedTuple):
     T: int
@@ -123,16 +131,10 @@ def _diff_fixture(
         if row.q is None and "q" in exp and verify_mersenne_factor(T, exp["q"]):
             row = row._replace(q=exp["q"], q_source="verified")
         want = {**exp, "ratio": Fraction(exp["ratio"]), "mersenne": table == "table1"}
-        got = {
-            "ord": row.ord_T_2,
-            "ratio": row.ratio,
-            "mersenne": row.mersenne,
-            "q": row.q,
-            "log2q": row.log2q,
-        }
-        for field, value in got.items():
-            if field in want and value != want[field]:
-                issues.append(Discrepancy(T, field, want[field], value))
+        got = row.record()
+        for field in ("ord", "ratio", "mersenne", "q", "log2q"):
+            if field in want and got[field] != want[field]:
+                issues.append(Discrepancy(T, field, want[field], got[field]))
         rows.append(row)
     return rows, issues
 

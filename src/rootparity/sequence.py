@@ -192,7 +192,7 @@ def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     """Check |M - p eta^z (1-eta)^(s-z)| <= 2^(s-z+1) s sqrt(p) log(p) tau^s.
 
     Uses the natural logarithm, the exact block count and tau, the divisor
-    count of p - 1.
+    count of p - 1.  A bound beyond the largest float is math.inf.
     """
     m = block_count(p, epsilons)
     s = len(epsilons)
@@ -200,7 +200,10 @@ def cz_bound_check(p: int, epsilons: list[int]) -> CzCheck:
     tau = _divisor_count(p - 1)
     eta = build_context(p).phi / p
     main_term = p * eta ** z * (1 - eta) ** (s - z)
-    bound = 2 ** (s - z + 1) * s * math.sqrt(p) * math.log(p) * tau ** s
+    try:
+        bound = 2 ** (s - z + 1) * s * math.sqrt(p) * math.log(p) * tau ** s
+    except OverflowError:  # an int factor too large for a float
+        bound = math.inf
     return CzCheck(
         m=m, main_term=main_term, bound=bound, holds=abs(m - main_term) <= bound
     )

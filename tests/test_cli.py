@@ -15,7 +15,7 @@ import pytest
 
 from rootparity import cli, complexity, sequence
 from rootparity.numtheory import PSI_12, is_prime
-from rootparity.search import scan
+from rootparity.search import build_row, scan
 
 
 # the options with a fixed cap that does not depend on p
@@ -29,6 +29,13 @@ def run(argv):
     out = io.StringIO()
     code = cli.run(argv, out=out)
     return code, out.getvalue()
+
+
+def emitted_row(row):
+    """A row's json-lines record, parsed back."""
+    out = io.StringIO()
+    cli._emit_rows(out, "json-lines", [row])
+    return json.loads(out.getvalue())
 
 
 class TestGenerate:
@@ -257,7 +264,7 @@ class TestScanCommand:
         assert code == 0
         rows = list(scan(11, 100))
         docs = [json.loads(line) for line in text.splitlines()]
-        assert docs == [cli.row_to_json(r) for r in rows]
+        assert docs == [emitted_row(r) for r in rows]
 
     def test_small_p_min_fails_before_the_csv_header(self, capsys):
         argv = ["scan", "--p-min", "5", "--p-max", "30", "--format", "csv"]
@@ -276,11 +283,11 @@ class TestScanCommand:
             mersenne=False,
             q_source="verified",
         )
-        doc = json.loads(json.dumps(cli.row_to_json(row)))
+        doc = emitted_row(row)
         assert isinstance(doc["q"], str)
         assert int(doc["q"]) == row.q
         assert (doc["log2q"], doc["ratio"]) == (60, "200/751")
-        assert doc == cli.row_to_json(row)
+        assert doc == row.record() | {"q": str(row.q), "ratio": "200/751"}
 
     def test_p_beyond_2_53_is_the_decimal_string_of_the_text(self):
         # p = 10^16 + 61, the one prime in the range, is above 2^53
@@ -297,10 +304,24 @@ class TestScanCommand:
 
         big = 2 ** 53 + 1
         row = SearchRow(T=big + 2, p=big + 4, ord_T_2=big, q=big + 6, mersenne=False)
-        doc = json.loads(json.dumps(cli.row_to_json(row)))
+        doc = emitted_row(row)
         assert [doc[k] for k in ("T", "p", "ord", "q")] == [
             str(big + 2), str(big + 4), str(big), str(big + 6)]
-        assert cli.row_to_json(row._replace(ord_T_2=2 ** 53))["ord"] == 2 ** 53
+        assert emitted_row(row._replace(ord_T_2=2 ** 53))["ord"] == 2 ** 53
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--p-min", "11", "--p-max", "100"],
+        ["tables", "--which", "1"],
+        ["tables", "--which", "2"],
+    ])
+    def test_json_keys_and_csv_header_are_the_record_keys(self, argv):
+        code, text = run(argv + ["--format", "json-lines"])
+        assert code == 0
+        keys = list(build_row(43).record())
+        assert {tuple(json.loads(line)) for line in text.splitlines()} == {tuple(keys)}
+        header = keys.copy()
+        header.insert(keys.index("ratio") + 1, "ratio_frac")
+        assert header == cli.ROW_CSV_HEADER
 
 
 class TestEmptyRanges:

@@ -269,7 +269,6 @@ class TestCLowerBound:
 class TestFullReport:
     def test_p13(self):
         rep = full_report(build_context(13))
-        assert rep.T == 3
         assert rep.L == 3
         assert rep.s1 == 1
         assert rep.epsilon == 1
@@ -279,7 +278,6 @@ class TestFullReport:
 
     def test_p43(self):
         rep = full_report(build_context(43))
-        assert rep.T == 11
         assert rep.L_lower == 10
         assert rep.C_lower == 4
 
@@ -297,7 +295,6 @@ class TestFullReport:
 
     def test_composite_period_has_no_c_lower(self):
         rep = full_report(build_context(41))  # T = 15 composite
-        assert rep.T == 15
         assert rep.C_lower is None
 
     def test_gcd_forks_from_the_threshold_on_two_cpus(self, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -328,6 +329,13 @@ class TestCzBound:
         chk = cz_bound_check(11, [1, 1])
         assert chk.m == 2
         assert chk.holds
+
+    def test_a_bound_beyond_the_largest_float_is_inf(self):
+        # tau = 24 at p = 50021: 24^200 is a float, 24^300 is not
+        assert cz_bound_check(50021, [1] * 200).bound < math.inf
+        for sign in (1, -1):
+            chk = cz_bound_check(50021, [sign] * 300)
+            assert (chk.bound, chk.holds) == (math.inf, True)
 
     @pytest.mark.parametrize("s_max", ["1", "6"])
     def test_czcheck_factors_p_minus_1_once_whatever_s_max(self, s_max, monkeypatch):
