@@ -2,22 +2,20 @@
 
 Linear complexity is computed twice, by gcd(X^T - 1, S(X)) over one period
 and by Berlekamp-Massey over 2T terms, and the two must agree.  BM runs in
-Euclid form (Dornstetter 1987): both are remainder sequences through
-_gf2_mod.  For prime T a third check, independent of _gf2_mod, asserts
-T - L = [S(1) = 0] (mod ord_T(2)) from the cyclotomic factors of X^T - 1.
-Polynomials over GF(2) are bit-packed into Python integers (bit i =
-coefficient of X^i).
+Euclid form (Dornstetter 1987) on one period rotated by T // 2, so both are
+remainder sequences through _gf2_mod on T-bit inputs that differ.  For prime
+T a third check, independent of _gf2_mod, asserts T - L = [S(1) = 0]
+(mod ord_T(2)) from the cyclotomic factors of X^T - 1.  Polynomials over
+GF(2) are bit-packed into Python integers (bit i = coefficient of X^i).
 
 Where the two run: BM always runs in the calling process.  From
 T >= FORK_MIN_T, when the process may run on two CPUs and os.fork exists,
 full_report forks once and the gcd runs in the child at the same time;
-otherwise the gcd runs first in the same process.  The threshold weighs
-the fork against the gcd it hides: fork, exit and wait took a median of
-3.8-4.0 ms in a process holding four contexts, and the gcd 1.0 ms at
-T = 2195, 18-22 ms at T = 19199 and 83-90 ms at T = 48803 (Python 3.11.7,
-2 vCPU).  BM took 1.8-3.2 times as long as the gcd at T = 141055 and
-493583, since its remainders start at 2T bits, so the child is the
-shorter side.
+otherwise the gcd runs first in the same process.  BM and the gcd take about
+as long as each other, 40-80 ms each at T = 48803 (Python 3.11.7, 2 vCPU),
+so the pair takes the longer of the two.  Fork, exit and wait cost about
+4 ms: at T = 19199 the forked pair took 20-34 ms against 17-35 ms serial,
+and at T = 141055, 0.39-0.42 s against 0.58-0.78 s.
 """
 
 import os
@@ -59,10 +57,6 @@ class ComplexityReport(NamedTuple):
 # The period from which full_report runs the gcd in a forked child
 FORK_MIN_T = 10_000
 
-# The fewest low bits linear_complexity_bm drops from its remainders at once,
-# so that it does not pay two shifts for a few bits
-BM_MIN_DROP = 64
-
 
 def _gf2_mod(a: int, b: int) -> int:
     # One shift per quotient term, so b << 1 at most once; the X^0 term,
@@ -93,32 +87,28 @@ def linear_complexity_gcd(seq: BitSequence) -> int:
 
 
 def linear_complexity_bm(seq: BitSequence) -> int:
-    """Berlekamp-Massey on 2T terms, as Euclid (Dornstetter 1987).
+    """Berlekamp-Massey on the 2T terms u_j = s_(h+j), h = T // 2, as Euclid.
 
-    With N = 2T and s* = sum s_j X^(N-1-j), an LFSR of length l is a pair
-    t s* = r (mod X^N) with deg r < deg t = l. As 2L - 1 < N, the shortest
-    is the first Euclid pair of (X^N, s*) with deg r_(k-1) + deg r_k < N,
-    and deg t_k = N - deg r_(k-1) = L. A zero remainder has degree -inf.
+    BM is a continued fraction (Welch-Scholtz 1979; Dornstetter 1987): on
+    u_0 ... u_(2T-1) it is Euclid on (X^2T, u*), u* = sum u_j X^(2T-1-j),
+    stopped at the first pair whose degrees sum below 2T, and L is the sum
+    of the quotient degrees.  Any 2T consecutive terms of a T-periodic
+    sequence give its L.  As u is T-periodic, u*/X^2T agrees in its first 2T
+    coefficients with R/(X^T + 1), R = sum_(j<T) u_j X^(T-1-j), and every
+    convergent BM reaches has a denominator of degree at most L <= T; so its
+    partial quotients are those of R/(X^T + 1).  This runs Euclid on
+    (X^T + 1, R) until the remainder is 0, on T-bit remainders where the
+    2T-term form starts at 2T bits, and L = T - deg of the last non-zero one.
 
-    Only high bits are read.  Let the bits of a and b below X^j be unknown,
-    with j <= N - deg a.  While the loop runs, deg b >= N - deg a >= j, and
-    deg b >= N - L >= T, because every b it reads becomes an a and L <= T
-    for a T-periodic sequence.  So the degree test and the quotient a div b,
-    which reads a from X^(deg b) up and b from X^(2 deg b - deg a) >=
-    X^(N - deg a) up, are exact, and the remainder's unknown bits lie below
-    X^(j + deg a - deg b) <= X^(N - deg b), the bound for the next pair.
-    Hence the N - deg a low bits of both are dropped once they number at
-    least BM_MIN_DROP and an eighth of a's bits; off counts the bits dropped.
+    Why h = T // 2: for p = 1 (mod 4), g -> p - g permutes the primitive
+    roots, so the parity sequence is a palindrome and R at h = 0 would be
+    _pack(seq), the gcd's own input: the BM <=> gcd check would run one
+    Euclid twice.  Rotated by T // 2, the two inputs coincide below p = 20000
+    only at p = 11 and p = 19 (the constant sequence).
     """
-    T, N = seq.period, 2 * seq.period
-    r = int(seq.bits, 2)  # bit T-1-j = s_j
-    a, b = 1 << N, (r << T) | r
-    n, off = N, 0  # a and b are the remainders >> off, and n = N - 2 off
-    while b and a.bit_length() + b.bit_length() - 2 >= n:
-        a, b = b, _gf2_mod(a, b)
-        if (k := n + 1 - a.bit_length()) >= BM_MIN_DROP and k >= a.bit_length() >> 3:
-            a, b, n, off = a >> k, b >> k, n - 2 * k, off + k
-    return N + 1 - off - a.bit_length()
+    T, h = seq.period, seq.period // 2
+    a = _gf2_gcd((1 << T) | 1, int(seq.bits[h:] + seq.bits[:h], 2))
+    return T + 1 - a.bit_length()
 
 
 def s_one(seq: BitSequence) -> int:

@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from itertools import product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootparity import complexity
+from rootparity import cli, complexity
 from rootparity.complexity import (
     InconsistencyError,
     c_lower_bound,
@@ -46,13 +47,30 @@ def bit_serial_bm(bits):
 
 
 def reference_bm(seq):
-    """Euclid-form Berlekamp-Massey on the full remainders, none of their bits dropped."""
-    T, N = seq.period, 2 * seq.period
-    r = int(seq.bits, 2)
+    """Euclid-form Berlekamp-Massey on the full 2T-term remainders, none of their
+    bits dropped, over the window s_h ... s_(h+2T-1), h = T // 2: (L, quotient degrees)."""
+    T, N, h = seq.period, 2 * seq.period, seq.period // 2
+    r = int(seq.bits[h:] + seq.bits[:h], 2)
     a, b = 1 << N, (r << T) | r
+    chain = []
     while b and a.bit_length() + b.bit_length() - 2 >= N:
+        chain.append(a.bit_length() - b.bit_length())
         a, b = b, complexity._gf2_mod(a, b)
-    return N + 1 - a.bit_length()
+    return N + 1 - a.bit_length(), chain
+
+
+def bm_chain(seq, monkeypatch):
+    """linear_complexity_bm(seq) and the degrees of its quotients, read by a spy on _gf2_mod."""
+    chain = []
+    mod = complexity._gf2_mod
+
+    def spy(a, b):
+        chain.append(a.bit_length() - b.bit_length())
+        return mod(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(complexity, "_gf2_mod", spy)
+        return linear_complexity_bm(seq), chain
 
 
 def reference_mod(a, b):
@@ -134,39 +152,77 @@ class TestEuclidBmAgainstBitSerialBm:
         assert linear_complexity_bm(seq) == bit_serial_bm(map(int, seq.bits))
 
 
-@pytest.fixture(params=[1, complexity.BM_MIN_DROP], ids=["drop-every-step", "drop-default"])
-def bm_min_drop(request, monkeypatch):
-    """BM_MIN_DROP = 1 drops low bits after nearly every Euclid step, even at small T."""
-    monkeypatch.setattr(complexity, "BM_MIN_DROP", request.param)
-    return request.param
+RANDOM_KINDS = ["random bits", "repeated block", "all zeros", "all ones"]
 
 
-class TestBmDroppedBitsAgainstFullRemainders:
-    def test_parity_sequences_of_every_prime_below_3000(self, bm_min_drop):
+class TestBmQuotientChainAgainstFullRemainders:
+    @pytest.mark.parametrize("residue", [1, 3], ids=["p=1 mod 4", "p=3 mod 4"])
+    def test_parity_sequences_of_every_prime_below_3000(self, residue, monkeypatch):
         for p in range(11, 3000):
-            if is_prime(p):
+            if p % 4 == residue and is_prime(p):
                 seq = build_s_sequence(build_context(p))
-                assert linear_complexity_bm(seq) == reference_bm(seq), p
+                assert bm_chain(seq, monkeypatch) == reference_bm(seq), p
 
     @pytest.mark.parametrize("p", [6607, 50021, 100019])
-    def test_parity_sequences_of_the_ladder(self, p, bm_min_drop):
+    def test_parity_sequences_of_the_ladder(self, p, monkeypatch):
         seq = build_s_sequence(build_context(p))
-        assert linear_complexity_bm(seq) == reference_bm(seq)
+        assert bm_chain(seq, monkeypatch) == reference_bm(seq)
 
-    def test_random_periodic_sequences(self, bm_min_drop):
+    @pytest.mark.parametrize("kind", RANDOM_KINDS)
+    def test_random_periodic_sequences(self, kind, monkeypatch):
         rng = random.Random(17)
-        kinds = ["random bits", "repeated block", "all zeros", "all ones"]
-        for i in range(2400):
-            kind, t = kinds[i % 4], rng.randrange(1, 600)
-            if kind == "random bits":
+        for i in range(2400):  # the same 2400 draws for every kind
+            this_kind, t = RANDOM_KINDS[i % 4], rng.randrange(1, 600)
+            if this_kind == "random bits":
                 bits = "".join(rng.choice("01") for _ in range(t))
-            elif kind == "repeated block":  # L <= the block length
+            elif this_kind == "repeated block":  # L <= the block length
                 block = "".join(rng.choice("01") for _ in range(rng.randrange(1, 12)))
                 bits = block * rng.randrange(1, 50)
             else:
-                bits = ("0" if kind == "all zeros" else "1") * t
-            seq = BitSequence(bits=bits)
-            assert linear_complexity_bm(seq) == reference_bm(seq), (kind, bits)
+                bits = ("0" if this_kind == "all zeros" else "1") * t
+            if this_kind == kind:
+                seq = BitSequence(bits=bits)
+                assert bm_chain(seq, monkeypatch) == reference_bm(seq), bits
+
+
+class TestBmAndGcdRunDifferentEuclids:
+    """The BM <=> gcd check catches a _gf2_mod fault only if the two run on different inputs."""
+
+    def test_the_sequence_is_a_palindrome_for_p_1_mod_4(self):
+        for p in range(13, 3000, 4):
+            if is_prime(p):
+                bits = build_s_sequence(build_context(p)).bits
+                assert bits == bits[::-1], p
+
+    def test_bm_euclid_input_differs_from_the_gcds_from_p_23(self, monkeypatch):
+        calls = []
+        gcd = complexity._gf2_gcd
+        monkeypatch.setattr(complexity, "_gf2_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+        for p in range(11, 3000):
+            if is_prime(p):
+                seq = build_s_sequence(build_context(p))
+                calls.clear()
+                linear_complexity_bm(seq)
+                [(a, b)] = calls
+                assert a == (1 << seq.period) | 1, p
+                assert (b == complexity._pack(seq)) == (p in (11, 19)), p
+
+    def test_a_data_dependent_gf2_mod_fault_exits_3(self, monkeypatch, capsys):
+        seq = build_s_sequence(build_context(1229))  # T = 611, a palindrome
+        T = seq.period
+        assert linear_complexity_gcd(seq) == 611
+        mod = complexity._gf2_mod
+
+        def faulty(a, b):
+            r = mod(a, b)
+            return r ^ 1 if b & 0xFF == 0x5A else r
+
+        monkeypatch.setattr(complexity, "_gf2_mod", faulty)
+        # BM on the unrotated period would repeat the gcd's Euclid and its error
+        unrotated = T + 1 - complexity._gf2_gcd((1 << T) | 1, int(seq.bits, 2)).bit_length()
+        assert (linear_complexity_gcd(seq), linear_complexity_bm(seq), unrotated) == (607, 611, 607)
+        assert cli.run(["analyze", "--p", "1229"], io.StringIO()) == 3
+        assert "bm=611 gcd=607" in capsys.readouterr().err
 
 
 class TestCyclotomicIdentity:
