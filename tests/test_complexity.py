@@ -194,7 +194,7 @@ class TestBmAndGcdRunDifferentEuclids:
                 bits = build_s_sequence(build_context(p)).bits
                 assert bits == bits[::-1], p
 
-    def test_bm_euclid_input_differs_from_the_gcds_from_p_23(self, monkeypatch):
+    def test_bm_euclid_input_differs_from_the_gcds_except_at_p_11_and_19(self, monkeypatch):
         calls = []
         gcd = complexity._gf2_gcd
         monkeypatch.setattr(complexity, "_gf2_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
