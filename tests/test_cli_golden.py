@@ -43,6 +43,7 @@ EVERY_FORMAT = [
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
     "analyze --p 50021",
+    "analyze --p 100019",
     *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
     *(f"patterns --p 6607 --ell {ell}" for ell in (4, 5, 9, 16)),
     "tables --which 1",
