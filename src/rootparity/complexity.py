@@ -1,12 +1,12 @@
 """Exact linear and 2-adic complexity with the corresponding lower bounds.
 
-Linear complexity is computed twice, by gcd(X^T - 1, S(X)) over one period
-and by Berlekamp-Massey over 2T terms, and the two must agree.  BM runs in
-Euclid form (Dornstetter 1987) on one period rotated by T // 2, so both are
-remainder sequences through _gf2_mod on T-bit inputs that differ.  For prime
-T a third check, independent of _gf2_mod, asserts T - L = [S(1) = 0]
-(mod ord_T(2)) from the cyclotomic factors of X^T - 1.  Polynomials over
-GF(2) are bit-packed into Python integers (bit i = coefficient of X^i).
+Linear complexity is computed twice, and the two must agree: each is _lc,
+Euclid on (X^T + 1, poly) through _gf2_mod, on its own packing of one period,
+S(X) for the gcd and the period rotated by T // 2 and read backwards for
+Berlekamp-Massey.  For prime T a third check, independent of _gf2_mod,
+asserts T - L = [S(1) = 0] (mod ord_T(2)) from the cyclotomic factors of
+X^T - 1.  Polynomials over GF(2) are bit-packed into Python integers (bit i
+= coefficient of X^i).
 
 Where the two run: BM always runs in the calling process.  From
 T >= FORK_MIN_T, when the process may run on two CPUs and os.fork exists,
@@ -67,10 +67,12 @@ def _gf2_mod(a: int, b: int) -> int:
     return a ^ b if d == 0 else a
 
 
-def _gf2_gcd(a: int, b: int) -> int:
+def _lc(T: int, poly: int) -> int:
+    """T - deg gcd(X^T + 1, poly), the last non-zero Euclid remainder; 0 at poly = 0."""
+    a, b = (1 << T) | 1, poly
     while b:
         a, b = b, _gf2_mod(a, b)
-    return a
+    return T + 1 - a.bit_length()
 
 
 def _pack(seq: BitSequence) -> int:
@@ -81,9 +83,7 @@ def _pack(seq: BitSequence) -> int:
 
 def linear_complexity_gcd(seq: BitSequence) -> int:
     """T - deg(gcd(X^T - 1, S(X))) over GF(2); the all-zero sequence gives 0."""
-    T = seq.period
-    g = _gf2_gcd((1 << T) | 1, _pack(seq))
-    return T - (g.bit_length() - 1)
+    return _lc(seq.period, _pack(seq))
 
 
 def linear_complexity_bm(seq: BitSequence) -> int:
@@ -106,9 +106,8 @@ def linear_complexity_bm(seq: BitSequence) -> int:
     Euclid twice.  Rotated by T // 2, the two inputs coincide below p = 20000
     only at p = 11 and p = 19 (the constant sequence).
     """
-    T, h = seq.period, seq.period // 2
-    a = _gf2_gcd((1 << T) | 1, int(seq.bits[h:] + seq.bits[:h], 2))
-    return T + 1 - a.bit_length()
+    h = seq.period // 2
+    return _lc(seq.period, int(seq.bits[h:] + seq.bits[:h], 2))
 
 
 def s_one(seq: BitSequence) -> int:

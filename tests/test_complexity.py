@@ -196,16 +196,16 @@ class TestBmAndGcdRunDifferentEuclids:
 
     def test_bm_euclid_input_differs_from_the_gcds_except_at_p_11_and_19(self, monkeypatch):
         calls = []
-        gcd = complexity._gf2_gcd
-        monkeypatch.setattr(complexity, "_gf2_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+        lc = complexity._lc
+        monkeypatch.setattr(complexity, "_lc", lambda T, poly: calls.append((T, poly)) or lc(T, poly))
         for p in range(11, 3000):
             if is_prime(p):
                 seq = build_s_sequence(build_context(p))
                 calls.clear()
                 linear_complexity_bm(seq)
-                [(a, b)] = calls
-                assert a == (1 << seq.period) | 1, p
-                assert (b == complexity._pack(seq)) == (p in (11, 19)), p
+                [(T, poly)] = calls
+                assert T == seq.period, p
+                assert (poly == complexity._pack(seq)) == (p in (11, 19)), p
 
     def test_a_data_dependent_gf2_mod_fault_exits_3(self, monkeypatch, capsys):
         seq = build_s_sequence(build_context(1229))  # T = 611, a palindrome
@@ -219,7 +219,7 @@ class TestBmAndGcdRunDifferentEuclids:
 
         monkeypatch.setattr(complexity, "_gf2_mod", faulty)
         # BM on the unrotated period would repeat the gcd's Euclid and its error
-        unrotated = T + 1 - complexity._gf2_gcd((1 << T) | 1, int(seq.bits, 2)).bit_length()
+        unrotated = complexity._lc(T, int(seq.bits, 2))
         assert (linear_complexity_gcd(seq), linear_complexity_bm(seq), unrotated) == (607, 611, 607)
         assert cli.run(["analyze", "--p", "1229"], io.StringIO()) == 3
         assert "bm=611 gcd=607" in capsys.readouterr().err
