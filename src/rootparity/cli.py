@@ -33,10 +33,11 @@ EXIT_USAGE = 1
 EXIT_DISCREPANCY = 2
 EXIT_INCONSISTENT = 3
 
-# Each cap keeps a command at no more than 2^16 records, all held before
-# printing: 2^ell patterns, or 2^(s_max + 1) - 2 sign vectors.
-MAX_ELL = 16
+# czcheck holds its 2^(s_max + 1) - 2 sign vectors before printing, fewer
+# than 2^16 records, as patterns holds 2^ell <= 2^sequence.MAX_ELL.
 MAX_S_MAX = 15
+# analyze's ceiling on p: T <= (p - 3)/2 keeps its periods within MAX_LC_T
+MAX_ANALYZE_P = 2 * complexity.MAX_LC_T + 3
 
 
 class _UsageError(Exception):
@@ -277,12 +278,15 @@ def _at_least(lo: int, cap: int | None = None):
     return parse
 
 
-def _prime_p(text: str) -> int:
+def _prime_p(text: str, cap: int = sequence.MAX_P) -> int:
     p = _int(text)
-    if not 11 <= p <= sequence.MAX_P or not is_prime(p):
-        raise argparse.ArgumentTypeError(
-            f"must be a prime in [11, {sequence.MAX_P}], got {p}")
+    if not 11 <= p <= cap or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"must be a prime in [11, {cap}], got {p}")
     return p
+
+
+def _analyze_p(text: str) -> int:
+    return _prime_p(text, MAX_ANALYZE_P)
 
 
 def _range_end(text: str) -> int:
@@ -300,9 +304,8 @@ def _p_range(text: str) -> tuple[int, int]:
     lo, hi = _int(lo), _int(hi)
     if lo < 11:
         raise argparse.ArgumentTypeError(f"lower end must be >= 11, got {lo}")
-    if hi > sequence.MAX_P:
-        raise argparse.ArgumentTypeError(
-            f"upper end must be <= {sequence.MAX_P}, got {hi}")
+    if hi > MAX_ANALYZE_P:
+        raise argparse.ArgumentTypeError(f"upper end must be <= {MAX_ANALYZE_P}, got {hi}")
     if hi < lo:
         raise argparse.ArgumentTypeError("empty range")
     return lo, hi
@@ -328,14 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     ana = command("analyze", _cmd_analyze, "balance + complexity report",
                   DEFAULT_FACTOR_K_MAX)
     grp = ana.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--p", type=_prime_p)
+    grp.add_argument("--p", type=_analyze_p)
     grp.add_argument("--p-range", type=_p_range)
 
     pat = command("patterns", _cmd_patterns, "pattern distribution for one p")
     pat.add_argument("--p", type=_prime_p, required=True)
-    pat.add_argument("--ell", type=_at_least(1, MAX_ELL), required=True,
-                     help=f"window length, 1 to {MAX_ELL} and at most T; all "
-                     f"2^ell patterns are held and printed, at most 2^{MAX_ELL}")
+    pat.add_argument("--ell", type=_at_least(1, sequence.MAX_ELL), required=True,
+                     help=f"window length, 1 to {sequence.MAX_ELL} and at most "
+                     f"T; all 2^ell patterns are held and printed, at most "
+                     f"2^{sequence.MAX_ELL}")
 
     cz = command("czcheck", _cmd_czcheck, "block-statistic bound check")
     cz.add_argument("--p", type=_prime_p, required=True)

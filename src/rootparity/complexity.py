@@ -56,6 +56,10 @@ class ComplexityReport(NamedTuple):
 
 # The period from which full_report runs the gcd in a forked child
 FORK_MIN_T = 10_000
+# The longest period full_report takes, as each linear complexity is
+# quadratic in T: under it, the worst `analyze`, p = 4194287 (T = 2097141),
+# took 84-115 s over 3 runs (Python 3.11.7, 2 vCPU)
+MAX_LC_T = 2 ** 21
 
 
 def _gf2_mod(a: int, b: int) -> int:
@@ -221,8 +225,10 @@ def full_report(
     L_lower and C_lower are the paper's bounds for a non-constant sequence
     and are reported whatever the sequence is. A constant sequence falls
     below them: at p = 19 the sequence is all ones, so L = 1 and C = 0
-    while L_lower = C_lower = 4.
+    while L_lower = C_lower = 4.  A period above MAX_LC_T raises ValueError.
     """
+    if ctx.T > MAX_LC_T:
+        raise ValueError(f"period T = {ctx.T} of p = {ctx.p} exceeds MAX_LC_T = {MAX_LC_T}")
     if seq is None:
         seq = build_s_sequence(ctx)
     if seq.period >= FORK_MIN_T and hasattr(os, "fork") and _two_cpus():

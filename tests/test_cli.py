@@ -20,7 +20,7 @@ from rootparity.search import build_row, scan
 
 # the options with a fixed cap that does not depend on p
 CAPPED = [
-    (["patterns", "--p", "1009", "--ell"], cli.MAX_ELL),
+    (["patterns", "--p", "1009", "--ell"], sequence.MAX_ELL),
     (["czcheck", "--p", "1009", "--s-max"], cli.MAX_S_MAX),
 ]
 
@@ -472,12 +472,12 @@ class TestUsageErrors:
         (["analyze", "--p-range", "5..20"],
          "argument --p-range: lower end must be >= 11, got 5"),
         (["analyze", "--p-range", f"{PSI_12 - 2}..{PSI_12}"],
-         f"argument --p-range: upper end must be <= {sequence.MAX_P}, got {PSI_12}"),
+         f"argument --p-range: upper end must be <= {cli.MAX_ANALYZE_P}, got {PSI_12}"),
         (["scan", "--p-min", "11", "--p-max", str(PSI_12)],
          f"argument --p-max: must be below psi_12 ~ 3.19e23, got {PSI_12}"),
-        (["analyze", "--p-range", f"11..{sequence.MAX_P + 1}"],
-         f"argument --p-range: upper end must be <= {sequence.MAX_P}, "
-         f"got {sequence.MAX_P + 1}"),
+        (["analyze", "--p-range", f"11..{cli.MAX_ANALYZE_P + 1}"],
+         f"argument --p-range: upper end must be <= {cli.MAX_ANALYZE_P}, "
+         f"got {cli.MAX_ANALYZE_P + 1}"),
     ])
     def test_prime_range_outside_11_to_psi_12_fails_at_the_parser(
         self, argv, message, monkeypatch, capsys
@@ -487,6 +487,23 @@ class TestUsageErrors:
         monkeypatch.setattr(cli.search, "scan", lambda *args: pytest.fail("scan ran"))
         assert run(argv) == (cli.EXIT_USAGE, "")
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["analyze", "--p", "86225219"], "--p"),
+        (["analyze", "--p-range", "11..4194309"], "--p-range"),
+    ])
+    def test_analyze_past_its_ceiling_exits_1_at_once(self, argv, option, capsys):
+        # 86225219 is under sequence.MAX_P, where analyze would run for hours
+        start = time.monotonic()
+        assert run(argv) == (cli.EXIT_USAGE, "")
+        assert time.monotonic() - start < 1
+        assert f"argument {option}: " in capsys.readouterr().err
+
+    def test_analyze_ceiling_keeps_periods_within_max_lc_t(self):
+        # T <= (p - 3)/2; 4194287 = 2q + 1 with q prime gives T = q - 2 = 2097141
+        assert cli.MAX_ANALYZE_P == 2 * complexity.MAX_LC_T + 3 == 4194307
+        args = cli.build_parser().parse_args(["analyze", "--p", "4194287"])
+        assert args.p == 4194287 and (args.p - 3) // 2 <= complexity.MAX_LC_T
 
     @pytest.mark.parametrize("argv, option, value", [
         (["generate", "--p", "abc"], "--p", "abc"),

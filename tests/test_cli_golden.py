@@ -12,7 +12,9 @@ Replay every entry without pytest, on any Python the package supports, with:
     PYTHONPATH=src python tests/test_cli_golden.py --check
 
 It prints each command whose output differs and the count that match, and
-exits 1 if any differs.
+exits 1 if any differs or if an exception was raised where it could not
+propagate, such as a ResourceWarning for a file left open when the warning
+is an error (python -X dev -W error).
 
 czcheck is covered in text only: its json-lines and csv output print the
 float bounds at full precision, and those digits come from the platform's
@@ -130,12 +132,16 @@ if __name__ == "__main__":
     if sys.argv[1:] not in ([], ["--add"], ["--check"]):
         sys.exit("usage: test_cli_golden.py [--add | --check]")
     if sys.argv[1:] == ["--check"]:
+        unraisable = []
+        sys.unraisablehook = unraisable.append
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage messages
             differ = [command for command in sorted(GOLDEN) if not matches(command, GOLDEN[command])]
         for command in differ:
             print(f"differs: {command}")
+        for u in unraisable:
+            print(f"unraisable: {u.exc_value!r} in {u.object!r}")
         print(f"{len(GOLDEN) - len(differ)}/{len(GOLDEN)} golden entries match")
-        sys.exit(1 if differ else 0)
+        sys.exit(1 if differ or unraisable else 0)
     DATA.parent.mkdir(exist_ok=True)
     golden = record(dict(GOLDEN) if sys.argv[1:] else {})
     DATA.write_text(json.dumps(golden, indent=1) + "\n")

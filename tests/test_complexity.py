@@ -349,6 +349,17 @@ class TestFullReport:
         with pytest.raises(InconsistencyError):
             full_report(build_context(43))
 
+    def test_a_period_above_max_lc_t_raises_before_any_work(self, monkeypatch):
+        assert complexity.MAX_LC_T == 2 ** 21
+        ctx = build_context(43)  # T = 11
+        monkeypatch.setattr(complexity, "MAX_LC_T", 11)
+        assert full_report(ctx).L == linear_complexity_gcd(build_s_sequence(ctx))
+        monkeypatch.setattr(complexity, "MAX_LC_T", 10)
+        monkeypatch.setattr(complexity, "build_s_sequence",
+                            lambda ctx: pytest.fail("the sequence was built"))
+        with pytest.raises(ValueError, match="period T = 11 of p = 43 exceeds MAX_LC_T = 10"):
+            full_report(ctx)
+
     def test_composite_period_has_no_c_lower(self):
         rep = full_report(build_context(41))  # T = 15 composite
         assert rep.C_lower is None

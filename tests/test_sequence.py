@@ -203,6 +203,14 @@ class TestPatternStats:
         with pytest.raises(ValueError):
             pattern_stats(seq, ctx, 0)
 
+    def test_ell_above_max_ell_raises_though_t_allows_it(self):
+        ctx = build_context(6607)  # T = 2195
+        seq = build_s_sequence(ctx)
+        rep = pattern_stats(seq, ctx, 16)
+        assert len(rep.counts) == 1 << 16 and sum(rep.counts.values()) == ctx.T - 15
+        with pytest.raises(ValueError, match=r"ell must lie in \[1, 16\], got 17"):
+            pattern_stats(seq, ctx, 17)
+
     def test_counts_sum_to_window_count(self):
         for p in (31, 67, 103, 211):
             ctx = build_context(p)
