@@ -40,14 +40,18 @@ EVERY_FORMAT = [
     "generate --p 103 --variant t",
     "generate --p 6607",
     "generate --p 6607 --variant t",
+    "generate --p 999983",
+    "generate --p 999983 --variant t",
     "analyze --p 103",
     "analyze --p 751 --factor-k-max 1000",
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
     "analyze --p 50021",
     "analyze --p 100019",
+    "analyze --p 300017",
     *(f"patterns --p 103 --ell {ell}" for ell in (1, 2, 3, 4)),
     *(f"patterns --p 6607 --ell {ell}" for ell in (4, 5, 9, 16)),
+    "patterns --p 999983 --ell 16",
     "tables --which 1",
     "tables --which 2",
     "scan --p-min 11 --p-max 400",
@@ -64,6 +68,7 @@ TEXT_ONLY = [
     "czcheck --p 379 --s-max 2",
     "czcheck --p 6607 --s-max 3",
     "czcheck --p 379 --s-max 9",
+    "czcheck --p 999983 --s-max 15",
 ]
 USAGE_ERRORS = [
     "",
