@@ -35,7 +35,7 @@ EXIT_INCONSISTENT = 3
 
 # czcheck holds its 2^(s_max + 1) - 2 sign vectors before printing, fewer
 # than 2^16 records, as patterns holds 2^ell <= 2^sequence.MAX_ELL.
-MAX_S_MAX = 15
+MAX_S_MAX = sequence.MAX_ELL - 1
 # analyze's ceiling on p: T <= (p - 3)/2 keeps its periods within MAX_LC_T
 MAX_ANALYZE_P = 2 * complexity.MAX_LC_T + 3
 

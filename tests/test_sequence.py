@@ -170,14 +170,14 @@ class TestWindowCounts:
         for n in range(1, 41):
             for _ in range(3):
                 bits = [rng.getrandbits(1) for _ in range(n)]
-                for ell in range(1, n + 1):
+                for ell in range(1, min(n, sequence.MAX_ELL) + 1):
                     naive = Counter(tuple(bits[i:i + ell]) for i in range(n - ell + 1))
                     assert _window_counts(bytearray(bits), ell) == by_code(naive)
 
     @pytest.mark.parametrize("chunk", [sequence._WINDOW_CHUNK, 7], ids=["one-chunk", "chunk-7"])
-    @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 15, 16, 17])
+    @pytest.mark.parametrize("ell", [1, 4, 5, 8, 9, 15, 16])
     def test_slot_widths_and_counters_match_zip(self, ell, chunk, monkeypatch):
-        # 1-byte slots to ell = 8, 2-byte slots to 16, then text slices; bytes.count
+        # 1-byte slots to ell = 8, 2-byte slots to MAX_ELL = 16; bytes.count
         # to ell = 4, then a Counter; chunk-7 cuts the windows into chunks
         monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
         bits, _ = random_bits(ell, 5000)
@@ -263,8 +263,8 @@ class TestBlockCount:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             block_count(13, [])
-        with pytest.raises(ValueError):
-            block_count(13, [1] * 13)
+        with pytest.raises(ValueError, match="block length 13 must be < p = 13"):
+            block_count(13, [1] * 13)  # s <= MAX_ELL, but not below p
         with pytest.raises(ValueError):
             block_count(13, [1, 0])
 
@@ -298,9 +298,10 @@ class TestBlockCount:
                 want = windows[tuple(int(e == 1) for e in eps)]
                 assert block_count(50021, list(eps)) == want, eps
 
-    @pytest.mark.parametrize("s", [16, 17, 20, 24])
+    @pytest.mark.parametrize("s", [16, 17])
     def test_sign_vectors_past_s_16_at_p_50021(self, s):
-        # s = 16 is the last 2-byte slot width; longer blocks are cut from text
+        # s = 16 = MAX_ELL is the last 2-byte slot width; a longer block raises,
+        # even where it occurs in the indicator
         indicator = build_context(50021).is_root[1:]  # c(1..p-1) as 0/1 bytes
         windows = zip_windows(indicator, s)
         rng = random.Random(s)
@@ -310,6 +311,11 @@ class TestBlockCount:
             for j in rng.sample(range(len(indicator) - s + 1), 200)
         ]
         for eps in [[1] * s, [-1] * s, *drawn, *seen]:
+            if s > sequence.MAX_ELL:
+                for check in (block_count, cz_bound_check):
+                    with pytest.raises(ValueError, match=r"\[1, 16\], got 17"):
+                        check(50021, eps)
+                continue
             want = windows[tuple(int(e == 1) for e in eps)]
             assert block_count(50021, eps) == want, eps
 
@@ -338,12 +344,12 @@ class TestCzBound:
         assert chk.m == 2
         assert chk.holds
 
-    def test_a_bound_beyond_the_largest_float_is_inf(self):
-        # tau = 24 at p = 50021: 24^200 is a float, 24^300 is not
-        assert cz_bound_check(50021, [1] * 200).bound < math.inf
-        for sign in (1, -1):
-            chk = cz_bound_check(50021, [sign] * 300)
-            assert (chk.bound, chk.holds) == (math.inf, True)
+    def test_the_bound_at_the_cap_is_a_finite_float(self, monkeypatch):
+        # 768 is the largest divisor count below MAX_P; s = MAX_ELL, z = 0 is the largest bound
+        monkeypatch.setattr(sequence, "_divisor_count", lambda n: 768)
+        chk = cz_bound_check(50021, [-1] * sequence.MAX_ELL)
+        assert math.isfinite(chk.bound)
+        assert chk.holds == (abs(chk.m - chk.main_term) <= chk.bound)
 
     @pytest.mark.parametrize("s_max", ["1", "6"])
     def test_czcheck_factors_p_minus_1_once_whatever_s_max(self, s_max, monkeypatch):
