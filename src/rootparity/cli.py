@@ -21,7 +21,7 @@ import csv
 import json
 import sys
 from contextlib import redirect_stdout
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -52,8 +52,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_int(n):
-    # str(Decimal(n)) is exact and, unlike str(n), not capped at 4300 digits
-    return str(Decimal(n)) if n is not None and abs(n) > 2 ** 53 else n
+    # exact and, unlike str(n), not capped at 4300 digits
+    if n is None or abs(n) <= 2 ** 53:
+        return n
+    with localcontext() as ctx:  # wide enough that every join is exact
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(_decimal(n))
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) in near-linear time, where Decimal(n) alone is quadratic in
+    the bit length: n = hi * 2^k + lo, each half converted the same way down
+    to 3000-bit leaves and joined by one fused multiply-add."""
+    if n.bit_length() <= 3000:
+        return Decimal(n)
+    k = n.bit_length() // 2
+    return _decimal(n >> k).fma(Decimal(2) ** k, _decimal(n & ((1 << k) - 1)))
 
 
 def _frac_str(f: Fraction) -> str:

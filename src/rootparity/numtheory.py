@@ -175,15 +175,19 @@ def root_indicator(p: int) -> bytes:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     pm1_primes = factorize(p - 1).primes()
     g = _find_generator(p, pm1_primes)
-    # g^k is a primitive root iff no prime factor of p - 1 divides k.
-    coprime = bytearray(b"\1") * (p - 1)
-    for q in pm1_primes:
-        coprime[::q] = bytes((p - 1) // q)
+    # g^k is a primitive root iff no prime factor of p - 1 divides k.  2 always
+    # does, so only odd k = 2i + 1 are walked, and an odd q | p - 1 divides
+    # 2i + 1 iff i = q // 2 (mod q); pm1_primes[0] is 2.
+    coprime = bytearray(b"\1") * (p // 2)
+    for q in pm1_primes[1:]:
+        coprime[q // 2::q] = bytes(p // 2 // q)
     is_root = bytearray(p)
-    acc = 1
-    for k_coprime in coprime:  # acc = g^k meets every residue 1..p-1 once
+    step = g * g % p
+    acc = g
+    for k_coprime in coprime:  # acc = g^(2i + 1) meets every non-square once
         is_root[acc] = k_coprime
-        acc = acc * g % p
+        acc = acc * step % p
+    del coprime  # the peak is is_root and its copy: 2 B per residue
     return bytes(is_root)
 
 

@@ -8,7 +8,6 @@ prime ranges for candidates without undesirable features.
 import json
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from typing import Iterator, NamedTuple
 
 from .complexity import c_lower_bound
@@ -74,6 +73,8 @@ class Discrepancy(NamedTuple):
 
 
 def _expected_tables() -> dict:
+    from importlib import resources  # only tables reads the fixture: no start-up cost
+
     text = resources.files("rootparity").joinpath("data/tables_expected.json")
     return json.loads(text.read_text())
 

@@ -1,8 +1,10 @@
 import argparse
 import csv
+import decimal
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -141,6 +143,37 @@ class TestAnalyze:
             monkeypatch.setattr(complexity, name, lambda seq: wrong)
         assert run(["analyze", "--p", "43"]) == (cli.EXIT_INCONSISTENT, "")
         assert "(mod ord_T(2)) at T=11" in capsys.readouterr().err
+
+
+class TestJsonInt:
+    def test_the_2_53_rule(self):
+        assert cli._json_int(None) is None
+        assert cli._json_int(2 ** 53) == 2 ** 53
+        assert cli._json_int(-2 ** 53) == -2 ** 53
+        assert cli._json_int(2 ** 53 + 1) == "9007199254740993"
+
+    @pytest.mark.parametrize("n", [
+        2 ** 2999, 2 ** 3000 - 1, 2 ** 3000 + 1, 2 ** 3001 - 1,
+        10 ** 4000, 10 ** 5000 - 1, -(3 ** 7001),
+    ], ids=["2^2999", "2^3000-1", "2^3000+1", "2^3001-1", "10^4000", "10^5000-1", "-3^7001"])
+    def test_split_is_str_of_decimal_at_the_leaf_edges(self, n):
+        # 2^2999 and 2^3000 - 1 are single 3000-bit leaves; 2^3000 + 1 and 2^3001 - 1 split once
+        assert cli._json_int(n) == str(Decimal(n))
+
+    def test_split_is_str_of_decimal_on_random_ints(self):
+        rng = random.Random(20210517)
+        for _ in range(40):
+            bits = int(10 ** rng.uniform(3.4, 5.7))  # 2500 to 5e5 bits
+            n = rng.getrandbits(bits) * rng.choice((1, -1))
+            if abs(n) > 2 ** 53:
+                assert cli._json_int(n) == str(Decimal(n)), bits
+
+    def test_leaves_the_callers_context_untouched(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            assert cli._json_int(7 ** 20000) == str(Decimal(7 ** 20000))
+            assert decimal.getcontext() is ctx and ctx.prec == 5
+            assert not any(ctx.flags.values())
 
 
 class TestPatterns:
@@ -581,6 +614,18 @@ def test_import_loads_no_worker_pool_or_dataclasses():
             "('concurrent', 'multiprocessing', 'dataclasses')))")
     result = _python("-c", code)
     assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+def test_each_import_loads_only_what_it_needs():
+    # -S: no site module, so nothing such as a .pth file imports the stdlib
+    # modules first; the package root loads no module of its own
+    code = ("import sys\n"
+            "def ours(): return sorted(m for m in sys.modules if m.startswith('rootparity.'))\n"
+            "import rootparity; print(ours())\n"
+            "import rootparity.numtheory; print(ours())\n"
+            "import rootparity.cli; print('importlib.resources' in sys.modules)\n")
+    result = _python("-S", "-c", code)
+    assert (result.returncode, result.stdout) == (0, "[]\n['rootparity.numtheory']\nFalse\n")
 
 
 @pytest.mark.parametrize("fmt", ["json-lines", "csv", "text"])

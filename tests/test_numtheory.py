@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import compress, islice
 from math import gcd, prod
 from pathlib import Path
@@ -19,6 +20,7 @@ from rootparity.numtheory import (
     multiplicative_order,
     period_facts,
     primitive_roots,
+    root_indicator,
     smallest_mersenne_factor,
     verify_mersenne_factor,
 )
@@ -46,6 +48,22 @@ def gcd_sort_primitive_roots(p):
         if gcd(k, p - 1) == 1:
             roots.append(acc)
     return tuple(sorted(roots))
+
+
+def every_exponent_root_indicator(p):
+    """The walk over all p - 1 powers g^k, each marked by whether k is coprime
+    to p - 1 (cleared by slices, one per prime factor of p - 1)."""
+    pm1_primes = factorize(p - 1).primes()
+    g = numtheory._find_generator(p, pm1_primes)
+    coprime = bytearray(b"\1") * (p - 1)
+    for q in pm1_primes:
+        coprime[::q] = bytes((p - 1) // q)
+    is_root = bytearray(p)
+    acc = 1
+    for k_coprime in coprime:
+        is_root[acc] = k_coprime
+        acc = acc * g % p
+    return bytes(is_root)
 
 
 def _lucas_lehmer(t):
@@ -262,6 +280,28 @@ class TestPrimitiveRoots:
                 roots = primitive_roots(p)
                 assert len(roots) == euler_phi(p - 1)
                 assert list(roots) == sorted(set(roots))
+
+
+class TestRootIndicator:
+    def test_matches_the_every_exponent_walk_below_20000(self):
+        for p in range(3, 20000, 2):
+            if is_prime(p):
+                assert root_indicator(p) == every_exponent_root_indicator(p), p
+
+    # the four complexity-ladder primes, and 999983 (p - 1 = 2 * 79 * 6329)
+    @pytest.mark.parametrize("p", [6607, 50021, 100019, 300017, 999983])
+    def test_matches_the_every_exponent_walk_at_large_p(self, p):
+        assert root_indicator(p) == every_exponent_root_indicator(p)
+
+    def test_peak_memory_is_under_2_1_bytes_per_residue(self):
+        p = 100019
+        tracemalloc.start()
+        try:
+            root_indicator(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * p
 
 
 class TestMersenne:
