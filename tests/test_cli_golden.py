@@ -46,6 +46,7 @@ EVERY_FORMAT = [
     "analyze --p 751 --factor-k-max 1000",
     "analyze --p-range 11..200",
     "analyze --p-range 24..28",
+    "analyze --p-range 30000..30200",
     "analyze --p 50021",
     "analyze --p 100019",
     "analyze --p 300017",
