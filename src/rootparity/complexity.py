@@ -9,16 +9,22 @@ X^T - 1.  Polynomials over GF(2) are bit-packed into Python integers (bit i
 = coefficient of X^i).
 
 Where the two run: BM always runs in the calling process.  From
-T >= FORK_MIN_T, when the process may run on two CPUs and os.fork exists,
-full_report forks once and the gcd runs in the child at the same time;
-otherwise the gcd runs first in the same process.  BM and the gcd take about
-as long as each other, 40-80 ms each at T = 48803 (Python 3.11.7, 2 vCPU),
-so the pair takes the longer of the two.  Fork, exit and wait cost about
-4 ms: at T = 19199 the forked pair took 20-34 ms against 17-35 ms serial,
-and at T = 141055, 0.39-0.42 s against 0.58-0.78 s.
+T >= FORK_MIN_T, when _can_fork() holds (the process may run on two CPUs,
+os.fork exists, and the process is neither side of a fork already),
+full_report forks once through _forked: the child computes the gcd while BM
+and then the 2-adic gcd run here.  Otherwise the gcd, BM and the 2-adic gcd
+run one after the other.  BM and the gcd take about as long as each other,
+40-80 ms each at T = 48803 (Python 3.11.7, 2 vCPU), so the pair takes the
+longer of the two.  Fork, exit and wait cost about 4 ms: at T = 19199 the
+forked pair took 20-34 ms against 17-35 ms serial, and at T = 141055,
+0.39-0.42 s against 0.58-0.78 s.  The command line's `analyze --p-range`
+forks through _forked too, once for the range, and then the pair runs
+serially in both processes.
 """
 
 import os
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from math import gcd
 from typing import NamedTuple, NoReturn
 
@@ -158,13 +164,25 @@ def _two_cpus() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
+def _can_fork() -> bool:
+    """Whether a forked child may run beside this process: os.fork exists, the
+    process may run on two CPUs, and it is neither side of a fork already."""
+    return not _forking and hasattr(os, "fork") and _two_cpus()
+
+
+# True while a process is either side of a fork, so that neither forks again:
+# both CPUs are busy, and a child that holds its lifeline thread must not fork
+_forking = False
+
+
 def _exit_at_eof(fd: int) -> None:
     os.read(fd, 1)  # nothing is written: this returns at EOF
     os._exit(1)
 
 
-def _gcd_child(seq: BitSequence, reply_fd: int, lifeline_fd: int) -> NoReturn:
-    """The forked side: write linear_complexity_gcd(seq), or the error, and exit.
+def _child(work: Callable[[], Iterable], reply_fd: int, lifeline_fd: int) -> NoReturn:
+    """The forked side: send each item of work(), or the exception that stopped
+    it, pickled, and exit, with code 0 once every item is sent.
 
     os._exit skips the buffers shared with the parent, such as stdout's.  A
     thread ends the child when the lifeline reaches EOF, as it does when the
@@ -172,44 +190,85 @@ def _gcd_child(seq: BitSequence, reply_fd: int, lifeline_fd: int) -> NoReturn:
     """
     code = 1
     try:
-        try:
-            import threading
+        import pickle
+        import threading
 
-            threading.Thread(target=_exit_at_eof, args=(lifeline_fd,), daemon=True).start()
-            reply, code = str(linear_complexity_gcd(seq)), 0
-        except BaseException as e:
-            reply = repr(e)[:1000]
-        os.write(reply_fd, reply.encode())
+        threading.Thread(target=_exit_at_eof, args=(lifeline_fd,), daemon=True).start()
+        with open(reply_fd, "wb") as replies:
+            try:
+                for item in work():
+                    replies.write(pickle.dumps((False, item)))
+                    replies.flush()
+                code = 0
+            except BaseException as e:  # raised again in the parent
+                replies.write(pickle.dumps((True, e)))
     finally:
         os._exit(code)
 
 
-def _bm_beside_forked_gcd(seq: BitSequence) -> tuple[int, int]:
-    """(BM, gcd) linear complexities, the gcd computed in a forked child."""
+@contextmanager
+def _forked(work: Callable[[], Iterable]) -> Iterator[Iterator]:
+    """Fork once, run work() in the child and yield an iterator over its items.
+
+    The iterator gives the items as the child sends them, raises here the
+    exception that stopped the child, as itself, and raises RuntimeError if
+    the child ended without either.  However the block ends, leaving it kills
+    the child if it is still running and reaps it, and the lifeline is held
+    open until then.
+    """
+    import pickle
     import signal
 
+    global _forking
     reply_r, reply_w = os.pipe()
     lifeline_r, lifeline_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(reply_r)
-        os.close(lifeline_w)
-        _gcd_child(seq, reply_w, lifeline_r)
-    os.close(reply_w)
-    os.close(lifeline_r)
-    # the lifeline is held open until the child is reaped
-    with open(reply_r, "rb") as reply, open(lifeline_w, "wb"):
-        try:
-            l_bm = linear_complexity_bm(seq)
-            text = reply.read().decode()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not text.isdigit():
-        raise RuntimeError(f"the forked gcd ended with exit code {code}: {text}")
-    return l_bm, int(text)
+    _forking = True
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os.close(reply_r)
+            os.close(lifeline_w)
+            _child(work, reply_w, lifeline_r)
+        os.close(reply_w)
+        os.close(lifeline_r)
+        exit_code = []
+
+        def reap() -> int:
+            if not exit_code:
+                exit_code.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            return exit_code[0]
+
+        def items(replies) -> Iterator:
+            while True:
+                try:
+                    raised, value = pickle.load(replies)
+                except EOFError:
+                    if (code := reap()) == 0:
+                        return
+                    raise RuntimeError(f"the forked child ended with exit code {code}") from None
+                if raised:
+                    raise value
+                yield value
+
+        with open(reply_r, "rb") as replies, open(lifeline_w, "wb"):
+            try:
+                yield items(replies)
+            finally:
+                if not exit_code:
+                    os.kill(pid, signal.SIGKILL)
+                reap()
+    finally:
+        _forking = False
+
+
+def _bm_beside_forked_gcd(seq: BitSequence) -> tuple[int, int, TwoAdicResult]:
+    """(BM, gcd, 2-adic): BM and then the 2-adic complexity here, while a forked
+    child computes the gcd."""
+    with _forked(lambda: [linear_complexity_gcd(seq)]) as replies:
+        l_bm = linear_complexity_bm(seq)
+        two_adic = two_adic_complexity(seq)
+        l_gcd, = replies
+    return l_bm, l_gcd, two_adic
 
 
 def full_report(
@@ -231,11 +290,12 @@ def full_report(
         raise ValueError(f"period T = {ctx.T} of p = {ctx.p} exceeds MAX_LC_T = {MAX_LC_T}")
     if seq is None:
         seq = build_s_sequence(ctx)
-    if seq.period >= FORK_MIN_T and hasattr(os, "fork") and _two_cpus():
-        l_bm, l_gcd = _bm_beside_forked_gcd(seq)
+    if seq.period >= FORK_MIN_T and _can_fork():
+        l_bm, l_gcd, two_adic = _bm_beside_forked_gcd(seq)
     else:
         l_gcd = linear_complexity_gcd(seq)
         l_bm = linear_complexity_bm(seq)
+        two_adic = None
     if l_bm != l_gcd:
         raise InconsistencyError(
             f"linear complexity mismatch for p={ctx.p}: bm={l_bm} gcd={l_gcd}"
@@ -250,7 +310,8 @@ def full_report(
             f"(mod ord_T(2)) at T={ctx.T}"
         )
     eps = epsilon_of(ctx.p)
-    two_adic = two_adic_complexity(seq)
+    if two_adic is None:
+        two_adic = two_adic_complexity(seq)
     return ComplexityReport(
         L=l_gcd,
         L_lower=lc_lower_bound(factorize(ctx.T), eps),

@@ -670,8 +670,9 @@ def test_closed_stdout_ends_the_command_by_sigpipe_without_a_message(argv):
     assert (proc.returncode, stderr) == (-signal.SIGPIPE, b"")
 
 
-# Runs the CLI with the gcd forked for every period, as on two CPUs, then
-# reports the forks and whether a child of this process is left, on stderr
+# Runs the CLI in process, so a range is not split, with the gcd forked for
+# every period, as on two CPUs, then reports the forks and whether a child of
+# this process is left, on stderr
 FORKED_CLI = """
 import os, sys
 from rootparity import cli, complexity
@@ -732,8 +733,7 @@ def test_forked_gcd_that_raises_exits_3_and_leaves_no_child():
     result = _forked_cli(["analyze", "--p", "1009"], patch)
     assert (result.returncode, result.stdout) == (cli.EXIT_INCONSISTENT, "")
     assert result.stderr.splitlines() == [
-        "internal error in analyze: RuntimeError(\"the forked gcd ended with exit "
-        "code 1: ValueError('no gcd today')\")",
+        "internal error in analyze: ValueError('no gcd today')",
         "forks=1 left=None",
     ]
 
@@ -760,6 +760,163 @@ def test_sigterm_during_bm_leaves_no_forked_gcd_behind():
     # seconds after the parent had gone if the lifeline did not end it
     proc = subprocess.Popen([sys.executable, "-m", "rootparity.cli", "analyze",
                              "--p", "999983"], env=_package_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (children := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.terminate()
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 1
+        while _running(children[0]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(children[0])
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def _left():
+    """A child of this process left to reap, or None: it has none."""
+    try:
+        return os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return None
+
+
+def _child_owned_p(lo, hi):
+    """The first prime in lo..hi whose records the forked child makes."""
+    return next(p for p, share in cli._by_period(filter(is_prime, range(lo, hi + 1)))
+                if share)
+
+
+class TestRangeSplit:
+    """analyze --p-range as its own process on two CPUs: each period's records
+    are made in one of two processes, and the output is that of one CPU."""
+
+    @staticmethod
+    def _run(argv, monkeypatch, capsys, two_cpus):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(complexity, "_two_cpus", lambda: two_cpus)
+        out = io.StringIO()
+        code = cli.run(argv, out, own_process=True)
+        assert _left() is None
+        return code, out.getvalue(), capsys.readouterr().err, len(forks)
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+    @pytest.mark.parametrize("p_range", ["11..400", "30000..30200"])
+    def test_two_cpus_print_what_one_cpu_prints(self, p_range, fmt, monkeypatch, capsys):
+        argv = ["analyze", "--p-range", p_range, "--format", fmt]
+        split = self._run(argv, monkeypatch, capsys, True)
+        serial = self._run(argv, monkeypatch, capsys, False)
+        assert split[:3] == serial[:3] and serial[0] == cli.EXIT_OK
+        assert (split[3], serial[3]) == (1, 0)
+        assert not complexity._forking
+
+    def test_in_process_callers_and_single_primes_keep_one_process(
+        self, monkeypatch, capsys
+    ):
+        # an in-process caller, such as a tracer that wraps the layers, and
+        # analyze --p keep every record in this process
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(complexity, "_two_cpus", lambda: True)
+        assert run(["analyze", "--p-range", "11..100"])[0] == cli.EXIT_OK
+        assert cli.run(["analyze", "--p", "103"], io.StringIO(),
+                       own_process=True) == cli.EXIT_OK
+
+    def test_by_period_alternates_new_periods_and_keeps_each(self):
+        shares = dict(cli._by_period(p for p in range(11, 2000) if is_prime(p)))
+        first = {}
+        for p, share in shares.items():
+            first.setdefault(sequence.build_context(p).T, share)
+        assert list(first.values()) == [i % 2 for i in range(len(first))]
+        assert all(shares[p] == first[sequence.build_context(p).T] for p in shares)
+
+    def test_mismatch_in_a_child_record_exits_3_as_on_one_cpu(self, monkeypatch, capsys):
+        p = _child_owned_p(11, 400)
+        T = sequence.build_context(p).T
+        gcd = complexity.linear_complexity_gcd
+        monkeypatch.setattr(complexity, "linear_complexity_bm",
+                            lambda seq: gcd(seq) + (seq.period == T))
+        argv = ["analyze", "--p-range", "11..400", "--format", "csv"]
+        split = self._run(argv, monkeypatch, capsys, True)
+        serial = self._run(argv, monkeypatch, capsys, False)
+        assert split[:3] == serial[:3] and split[3] == 1
+        code, text, err, _ = serial
+        assert code == cli.EXIT_INCONSISTENT and text.count("\n") > 1
+        message, = err.splitlines()
+        assert message.startswith(
+            f"internal inconsistency: linear complexity mismatch for p={p}: bm=")
+
+    def test_child_killed_by_sigkill_exits_3_with_one_line(self, monkeypatch, capsys):
+        parent, p = os.getpid(), _child_owned_p(11, 400)
+        doc = cli._analyze_doc
+
+        def killed_in_the_child(q, factor_k_max):
+            if q == p and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return doc(q, factor_k_max)
+
+        monkeypatch.setattr(cli, "_analyze_doc", killed_in_the_child)
+        code, _, err, forks = self._run(["analyze", "--p-range", "11..400"],
+                                        monkeypatch, capsys, True)
+        assert (code, forks) == (cli.EXIT_INCONSISTENT, 1)
+        assert err.splitlines() == [
+            "internal error in analyze: RuntimeError('the forked child ended "
+            f"with exit code {-signal.SIGKILL}')"]
+
+    def test_closed_stdout_leaves_no_child(self, monkeypatch):
+        class ClosedOut(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(complexity, "_two_cpus", lambda: True)
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(BrokenPipeError):
+            cli.run(["analyze", "--p-range", "11..1000000"], ClosedOut(), own_process=True)
+        assert _left() is None
+        assert fds is None or set(os.listdir("/proc/self/fd")) == fds
+        assert not complexity._forking
+
+
+# Runs the CLI as its own process, with the range split on or off, whatever the CPUs
+SPLIT_CLI = """
+from rootparity import cli, complexity
+
+complexity._two_cpus = lambda: {two_cpus}
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv", "text"])
+def test_range_split_leaves_buffered_stdout_byte_identical(fmt):
+    argv = ["analyze", "--p-range", "11..400", "--format", fmt]
+    split, serial = (_python("-c", SPLIT_CLI.format(two_cpus=on), *argv, env=_buffered_env())
+                     for on in (True, False))
+    assert (split.returncode, split.stdout, split.stderr) == (
+        serial.returncode, serial.stdout, serial.stderr)
+    assert serial.returncode == cli.EXIT_OK and serial.stdout
+
+
+def test_import_loads_no_pickle_or_threading():
+    # -S, as above: with site, a .pth file may import threading first
+    code = ("import sys, rootparity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('pickle', '_pickle', 'threading', 'concurrent', 'multiprocessing')))")
+    assert _python("-S", "-c", code).stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+                    or not complexity._two_cpus(),
+                    reason="needs /proc children lists and two CPUs")
+def test_sigterm_during_a_split_range_leaves_no_child_behind():
+    # 100000..100400 takes seconds, so the child still has records to make
+    # when the parent is killed, and would go on without the lifeline
+    proc = subprocess.Popen([sys.executable, "-m", "rootparity.cli", "analyze",
+                             "--p-range", "100000..100400"], env=_package_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
