@@ -14,12 +14,13 @@ SearchRow.record().
 
 Where `analyze --p-range` runs: run as its own process (main()), on two CPUs
 with os.fork, the command forks once, and each period's records are made in
-one of the two processes (_analyze_docs); this one writes them all, in
-ascending p.  A child's fault is raised here as itself, so stderr and the
-exit code are those of one process.  `analyze --p`, one CPU, a platform
-without os.fork and an in-process call of run() make every record here.
-At p up to 2000, the two shares took 0.13 and 0.17 s where one process took
-0.30 s (Python 3.11.7, 2 vCPU, in one process each).
+whichever of the two processes claims that period first (_analyze_docs).
+This one writes them all, in ascending p, each as soon as it and every
+record below it exist, and waits for the child only when it has no record
+of its own left to make.  A fault in either process is raised here at that
+record's turn, the child's as itself, so stdout, stderr and the exit code
+are those of one process.  `analyze --p`, one CPU, a platform without
+os.fork and an in-process call of run() make every record here.
 
 Exit codes: 0 success, 1 usage error, 2 table discrepancy, 3 internal
 inconsistency or any other fault after the arguments were accepted.
@@ -28,7 +29,9 @@ inconsistency or any other fault after the arguments were accepted.
 import argparse
 import csv
 import json
+import os
 import sys
+from collections import deque
 from contextlib import contextmanager, redirect_stdout
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -182,12 +185,81 @@ def _analyze_csv(doc: dict) -> list:
     return [[p, T, f"{float(doc['eta']):.6f}", *rest]]
 
 
-def _by_period(primes):
-    """(p, share) for each prime: each new period T = phi(p - 1) - 1 takes the
-    share, 0 or 1, that the last new one did not, and keeps it for every p."""
-    shares = {}
+def _periods(primes, claim):
+    """(p, mine) for each prime: the k-th period T = phi(p - 1) - 1 to appear
+    is this process's if claim(k), and stays so for every p of that period."""
+    owners = {}
     for p in primes:
-        yield p, shares.setdefault(euler_phi(p - 1) - 1, len(shares) % 2)
+        T = euler_phi(p - 1) - 1
+        if T not in owners:
+            owners[T] = claim(len(owners))
+        yield p, owners[T]
+
+
+@contextmanager
+def _claims():
+    """Yield claim(k), whether this process takes the k-th new period.
+
+    A process forked inside the block shares one count of taken periods with
+    this one.  Under a lock that one process holds at a time, a process takes
+    k if the count is k, and then raises it to k + 1.  Each process asks for
+    its periods in order, so the count is at least k when it asks for k, and
+    k goes to whichever process asks first, and to one only.  The count lives
+    in shared memory, and the lock is a POSIX record lock (fcntl.lockf) on a
+    pipe of this command's own, which the kernel releases when its holder
+    dies: a killed child cannot stall this process.
+    """
+    import fcntl
+    import mmap
+
+    lock_r, lock_w = os.pipe()
+    try:
+        with mmap.mmap(-1, 8) as count:  # MAP_SHARED: one count across os.fork
+            def claim(k: int) -> bool:
+                fcntl.lockf(lock_w, fcntl.LOCK_EX)
+                try:
+                    if int.from_bytes(count, "little") != k:
+                        return False
+                    count[:] = (k + 1).to_bytes(8, "little")
+                    return True
+                finally:
+                    fcntl.lockf(lock_w, fcntl.LOCK_UN)
+
+            yield claim
+    finally:
+        os.close(lock_r)
+        os.close(lock_w)
+
+
+def _merged(periods, doc, theirs, waiting):
+    """The records of periods' primes in ascending p, doc(p) for this
+    process's and next(theirs) for the child's.
+
+    A record is yielded once it and every record below it exist.  Until then
+    this process makes its own next records, and it waits for the child's
+    only when it has none left to make.  A fault in a record of this process
+    ends the walk and is raised at that record's turn, as the child's are.
+    """
+    queued = deque()  # per p: its record, its fault, or None for the child's record
+
+    def turn(entry):
+        if entry is None:
+            return next(theirs)
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
+
+    for p, mine in periods:
+        try:
+            queued.append(doc(p) if mine else None)
+        except Exception as e:
+            queued.append(e)
+            break
+        while queued and (queued[0] is not None or not waiting()):
+            yield turn(queued.popleft())
+    while queued:
+        yield turn(queued.popleft())
+    next(theirs, None)  # the child's end, which raises if it failed
 
 
 @contextmanager
@@ -195,10 +267,12 @@ def _analyze_docs(primes, factor_k_max: int, split: bool):
     """The records of primes, in order.
 
     With split, where complexity._can_fork(), the command forks once and both
-    processes walk the primes: this one makes the records of share 0 and the
-    child those of share 1, which it sends here pickled.  So each period's
-    factor hunt runs, and is cached, in one process, and inside a share the
-    linear-complexity pair runs serially.
+    processes walk the primes.  Each new period goes to the process that
+    claims it first (_claims), and that process makes the records of every
+    prime of it: so each period's factor hunt runs, and is cached, in one
+    process, and a free process takes the next period.  The child sends its
+    records here pickled.  Inside either process the linear-complexity pair
+    runs serially.
     """
     def doc(p):
         return _analyze_doc(p, factor_k_max)
@@ -206,9 +280,10 @@ def _analyze_docs(primes, factor_k_max: int, split: bool):
     if not (split and complexity._can_fork()):
         yield map(doc, primes)
         return
-    shares = _by_period(primes)
-    with complexity._forked(lambda: (doc(p) for p, share in shares if share)) as theirs:
-        yield (next(theirs) if share else doc(p) for p, share in shares)
+    with _claims() as claim:
+        periods = _periods(primes, claim)
+        with complexity._forked(lambda: (doc(p) for p, mine in periods if mine)) as forked:
+            yield _merged(periods, doc, *forked)
 
 
 def _cmd_analyze(args, out):

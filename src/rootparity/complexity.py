@@ -207,17 +207,22 @@ def _child(work: Callable[[], Iterable], reply_fd: int, lifeline_fd: int) -> NoR
 
 
 @contextmanager
-def _forked(work: Callable[[], Iterable]) -> Iterator[Iterator]:
-    """Fork once, run work() in the child and yield an iterator over its items.
+def _forked(work: Callable[[], Iterable]) -> Iterator[tuple[Iterator, Callable[[], bool]]]:
+    """Fork once, run work() in the child and yield (items, waiting).
 
-    The iterator gives the items as the child sends them, raises here the
-    exception that stopped the child, as itself, and raises RuntimeError if
-    the child ended without either.  However the block ends, leaving it kills
-    the child if it is still running and reaps it, and the lifeline is held
-    open until then.
+    items gives the child's items as it sends them, raises here the exception
+    that stopped the child, as itself, and raises RuntimeError if the child
+    ended without either; waiting() is whether next(items) would wait for the
+    child.  A thread drains the pipe as the child writes, so the child never
+    stalls on a full pipe, however long this process leaves its items unread.
+    However the block ends, leaving it kills the child if it may still run,
+    waits for the drain to end and reaps the child, once; the pipe and the
+    lifeline are held open until then.
     """
     import pickle
     import signal
+    import threading
+    from queue import SimpleQueue
 
     global _forking
     reply_r, reply_w = os.pipe()
@@ -232,30 +237,41 @@ def _forked(work: Callable[[], Iterable]) -> Iterator[Iterator]:
         os.close(reply_w)
         os.close(lifeline_r)
         exit_code = []
+        replies = SimpleQueue()  # (raised, value) per reply, then None at EOF
 
         def reap() -> int:
             if not exit_code:
                 exit_code.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
             return exit_code[0]
 
-        def items(replies) -> Iterator:
-            while True:
-                try:
-                    raised, value = pickle.load(replies)
-                except EOFError:
-                    if (code := reap()) == 0:
-                        return
-                    raise RuntimeError(f"the forked child ended with exit code {code}") from None
+        def drain(pipe) -> None:
+            try:
+                while True:
+                    replies.put(pickle.load(pipe))
+            except EOFError:
+                replies.put(None)
+            except BaseException as e:  # a reply that cannot be read: raised in items
+                replies.put((True, e))
+
+        def items() -> Iterator:
+            while (reply := replies.get()) is not None:
+                raised, value = reply
                 if raised:
                     raise value
                 yield value
+            if (code := reap()) != 0:
+                raise RuntimeError(f"the forked child ended with exit code {code}")
 
-        with open(reply_r, "rb") as replies, open(lifeline_w, "wb"):
+        with open(reply_r, "rb") as pipe, open(lifeline_w, "wb"):
+            drainer = threading.Thread(target=drain, args=(pipe,), daemon=True)
             try:
-                yield items(replies)
+                drainer.start()
+                yield items(), replies.empty
             finally:
                 if not exit_code:
                     os.kill(pid, signal.SIGKILL)
+                if drainer.is_alive():  # ends at EOF, as the child is gone
+                    drainer.join()
                 reap()
     finally:
         _forking = False
@@ -264,7 +280,7 @@ def _forked(work: Callable[[], Iterable]) -> Iterator[Iterator]:
 def _bm_beside_forked_gcd(seq: BitSequence) -> tuple[int, int, TwoAdicResult]:
     """(BM, gcd, 2-adic): BM and then the 2-adic complexity here, while a forked
     child computes the gcd."""
-    with _forked(lambda: [linear_complexity_gcd(seq)]) as replies:
+    with _forked(lambda: [linear_complexity_gcd(seq)]) as (replies, _):
         l_bm = linear_complexity_bm(seq)
         two_adic = two_adic_complexity(seq)
         l_gcd, = replies

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import fcntl
 import decimal
 import io
 import json
@@ -8,6 +10,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from itertools import product
@@ -16,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from rootparity import cli, complexity, sequence
-from rootparity.numtheory import PSI_12, is_prime
+from rootparity.numtheory import PSI_12, euler_phi, is_prime
 from rootparity.search import build_row, scan
 
 
@@ -785,10 +788,17 @@ def _left():
         return None
 
 
-def _child_owned_p(lo, hi):
-    """The first prime in lo..hi whose records the forked child makes."""
-    return next(p for p, share in cli._by_period(filter(is_prime, range(lo, hi + 1)))
-                if share)
+def _period_index(lo, hi):
+    """p -> k for each prime in lo..hi: its period is the k-th new one."""
+    return dict(cli._periods(filter(is_prime, range(lo, hi + 1)), lambda k: k))
+
+
+def _force_owners(monkeypatch, child_takes):
+    """Patch the claim: the forked child takes the k-th new period where
+    child_takes(k), and this process takes the others."""
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_claims", lambda: contextlib.nullcontext(
+        lambda k: child_takes(k) == (os.getpid() != parent)))
 
 
 class TestRangeSplit:
@@ -797,13 +807,17 @@ class TestRangeSplit:
 
     @staticmethod
     def _run(argv, monkeypatch, capsys, two_cpus):
+        # however the command ends, it leaves no child, fd or thread behind
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         monkeypatch.setattr(complexity, "_two_cpus", lambda: two_cpus)
         out = io.StringIO()
+        fds, threads = _fds(), threading.active_count()
         code = cli.run(argv, out, own_process=True)
         assert _left() is None
+        assert (_fds(), threading.active_count()) == (fds, threads)
+        assert not complexity._forking
         return code, out.getvalue(), capsys.readouterr().err, len(forks)
 
     @pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
@@ -814,7 +828,6 @@ class TestRangeSplit:
         serial = self._run(argv, monkeypatch, capsys, False)
         assert split[:3] == serial[:3] and serial[0] == cli.EXIT_OK
         assert (split[3], serial[3]) == (1, 0)
-        assert not complexity._forking
 
     def test_in_process_callers_and_single_primes_keep_one_process(
         self, monkeypatch, capsys
@@ -827,16 +840,23 @@ class TestRangeSplit:
         assert cli.run(["analyze", "--p", "103"], io.StringIO(),
                        own_process=True) == cli.EXIT_OK
 
-    def test_by_period_alternates_new_periods_and_keeps_each(self):
-        shares = dict(cli._by_period(p for p in range(11, 2000) if is_prime(p)))
-        first = {}
-        for p, share in shares.items():
-            first.setdefault(sequence.build_context(p).T, share)
-        assert list(first.values()) == [i % 2 for i in range(len(first))]
-        assert all(shares[p] == first[sequence.build_context(p).T] for p in shares)
+    def test_claims_give_each_period_to_exactly_one_of_two_processes(self):
+        # both sides of a fork run the real claim over the periods of 11..2000
+        periods = {p: euler_phi(p - 1) - 1 for p in range(11, 2000) if is_prime(p)}
+        with cli._claims() as claim:
+            walk = cli._periods(iter(periods), claim)
+            with complexity._forked(
+                lambda: [{periods[p] for p, mine in walk if mine}]
+            ) as (theirs, _):
+                ours = {periods[p] for p, mine in walk if mine}
+                child, = theirs
+        assert not ours & child
+        assert ours | child == set(periods.values())
 
     def test_mismatch_in_a_child_record_exits_3_as_on_one_cpu(self, monkeypatch, capsys):
-        p = _child_owned_p(11, 400)
+        # the child takes every period up to p's, and this process every later one
+        p = 107  # the first prime of its period
+        _force_owners(monkeypatch, lambda k: k <= _period_index(11, 400)[p])
         T = sequence.build_context(p).T
         gcd = complexity.linear_complexity_gcd
         monkeypatch.setattr(complexity, "linear_complexity_bm",
@@ -851,8 +871,34 @@ class TestRangeSplit:
         assert message.startswith(
             f"internal inconsistency: linear complexity mismatch for p={p}: bm=")
 
+    def test_mismatch_in_a_record_of_this_process_exits_3_as_on_one_cpu(
+        self, monkeypatch, capsys
+    ):
+        # the child takes every period before p's, and this process p's and
+        # every later one: every record below p is the child's, and each is
+        # written before the fault is raised
+        p = 199  # the first prime of its period
+        index = _period_index(11, 400)
+        _force_owners(monkeypatch, lambda k: k < index[p])
+        T = sequence.build_context(p).T
+        gcd = complexity.linear_complexity_gcd
+        monkeypatch.setattr(complexity, "linear_complexity_bm",
+                            lambda seq: gcd(seq) + (seq.period == T))
+        argv = ["analyze", "--p-range", "11..400", "--format", "json-lines"]
+        split = self._run(argv, monkeypatch, capsys, True)
+        serial = self._run(argv, monkeypatch, capsys, False)
+        assert split[:3] == serial[:3] and split[3] == 1
+        code, text, err, _ = serial
+        assert code == cli.EXIT_INCONSISTENT
+        assert [json.loads(line)["p"] for line in text.splitlines()] == [
+            q for q in index if q < p]
+        message, = err.splitlines()
+        assert message.startswith(
+            f"internal inconsistency: linear complexity mismatch for p={p}: bm=")
+
     def test_child_killed_by_sigkill_exits_3_with_one_line(self, monkeypatch, capsys):
-        parent, p = os.getpid(), _child_owned_p(11, 400)
+        parent, p = os.getpid(), 107
+        _force_owners(monkeypatch, lambda k: k <= _period_index(11, 400)[p])
         doc = cli._analyze_doc
 
         def killed_in_the_child(q, factor_k_max):
@@ -874,12 +920,67 @@ class TestRangeSplit:
                 raise BrokenPipeError
 
         monkeypatch.setattr(complexity, "_two_cpus", lambda: True)
-        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        fds, threads = _fds(), threading.active_count()
         with pytest.raises(BrokenPipeError):
             cli.run(["analyze", "--p-range", "11..1000000"], ClosedOut(), own_process=True)
         assert _left() is None
-        assert fds is None or set(os.listdir("/proc/self/fd")) == fds
+        assert (_fds(), threading.active_count()) == (fds, threads)
         assert not complexity._forking
+
+    def test_child_killed_holding_the_claim_lock_exits_3_at_once(self, monkeypatch, capsys):
+        # the kernel releases a dead process's lockf lock, so this process
+        # takes every period and then finds the child gone
+        parent, lockf = os.getpid(), fcntl.lockf
+
+        def killed_holding_the_lock(fd, cmd):
+            lockf(fd, cmd)
+            if cmd == fcntl.LOCK_EX and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(fcntl, "lockf", killed_holding_the_lock)
+        start = time.monotonic()
+        with _alarm(30):
+            code, _, err, forks = self._run(["analyze", "--p-range", "11..400"],
+                                            monkeypatch, capsys, True)
+        assert time.monotonic() - start < 5
+        assert (code, forks) == (cli.EXIT_INCONSISTENT, 1)
+        assert err.splitlines() == [
+            "internal error in analyze: RuntimeError('the forked child ended "
+            f"with exit code {-signal.SIGKILL}')"]
+
+
+def _fds():
+    """This process's open fds, or None where /proc does not list them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in this thread if the block takes more than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_forked_child_sends_past_the_pipe_buffer_while_nothing_is_read():
+    # about 100 KB of replies, beyond a 64 KB pipe buffer: the child ends
+    # while this process reads none of them
+    sent = [bytes(1000)] * 100
+    with complexity._forked(lambda: sent) as (replies, waiting):
+        deadline = time.monotonic() + 10
+        while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+            assert time.monotonic() < deadline, "the child stalled on a full pipe"
+            time.sleep(0.005)
+        assert list(replies) == sent
+    assert _left() is None and not complexity._forking
 
 
 # Runs the CLI as its own process, with the range split on or off, whatever the CPUs
@@ -905,7 +1006,8 @@ def test_import_loads_no_pickle_or_threading():
     # -S, as above: with site, a .pth file may import threading first
     code = ("import sys, rootparity.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('pickle', '_pickle', 'threading', 'concurrent', 'multiprocessing')))")
+            "('pickle', '_pickle', 'threading', 'queue', '_queue', 'mmap', 'fcntl', "
+            "'concurrent', 'multiprocessing')))")
     assert _python("-S", "-c", code).stdout == "[]\n"
 
 

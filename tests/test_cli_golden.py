@@ -13,8 +13,9 @@ Replay every entry without pytest, on any Python the package supports, with:
 
 It prints each command whose output differs and the count that match, and
 exits 1 if any differs or if an exception was raised where it could not
-propagate, such as a ResourceWarning for a file left open when the warning
-is an error (python -X dev -W error).
+propagate: a ResourceWarning for a file left open when the warning is an
+error (python -X dev -W error), or an exception that ended a thread, such as
+the thread that drains a forked child's replies.
 
 czcheck is covered in text only: its json-lines and csv output print the
 float bounds at full precision, and those digits come from the platform's
@@ -27,6 +28,7 @@ import hashlib
 import io
 import json
 import sys
+import threading
 from pathlib import Path
 
 from rootparity import cli
@@ -139,16 +141,19 @@ if __name__ == "__main__":
     if sys.argv[1:] not in ([], ["--add"], ["--check"]):
         sys.exit("usage: test_cli_golden.py [--add | --check]")
     if sys.argv[1:] == ["--check"]:
-        unraisable = []
+        unraisable, thread_faults = [], []
         sys.unraisablehook = unraisable.append
+        threading.excepthook = thread_faults.append
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage messages
             differ = [command for command in sorted(GOLDEN) if not matches(command, GOLDEN[command])]
         for command in differ:
             print(f"differs: {command}")
         for u in unraisable:
             print(f"unraisable: {u.exc_value!r} in {u.object!r}")
+        for t in thread_faults:
+            print(f"thread fault: {t.exc_value!r} in {t.thread!r}")
         print(f"{len(GOLDEN) - len(differ)}/{len(GOLDEN)} golden entries match")
-        sys.exit(1 if differ or unraisable else 0)
+        sys.exit(1 if differ or unraisable or thread_faults else 0)
     DATA.parent.mkdir(exist_ok=True)
     golden = record(dict(GOLDEN) if sys.argv[1:] else {})
     DATA.write_text(json.dumps(golden, indent=1) + "\n")
